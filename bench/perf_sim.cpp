@@ -1,14 +1,12 @@
 // Simulator performance: events/firings per second for the two validation
-// vehicles, the cost of building the MMS Petri net, the open-network DES,
-// and the parallel replication harness.
+// vehicles, the cost of building the MMS Petri net, and the parallel
+// replication harness.
 #include <benchmark/benchmark.h>
 
 #include "core/mms_config.hpp"
 #include "json_reporter.hpp"
-#include "qn/open/open_network.hpp"
 #include "sim/mms_des.hpp"
 #include "sim/mms_petri.hpp"
-#include "sim/open_des.hpp"
 #include "sim/replicate.hpp"
 
 namespace {
@@ -56,34 +54,6 @@ void BM_PetriSimulation(benchmark::State& state) {
   state.SetLabel("items = transition firings");
 }
 BENCHMARK(BM_PetriSimulation)->Arg(2)->Arg(4);
-
-void BM_OpenDesSimulation(benchmark::State& state) {
-  // Three-station tandem with feedback, the open-workload shape used by
-  // the Jackson cross-checks; items are kernel events.
-  qn::OpenNetwork net({{"a", qn::StationKind::kQueueing},
-                       {"b", qn::StationKind::kQueueing},
-                       {"c", qn::StationKind::kQueueing}},
-                      1);
-  net.set_arrival_rate(0, 0.5);
-  net.set_entry(0, 0, 1.0);
-  net.set_routing(0, 0, 1, 1.0);
-  net.set_routing(0, 1, 2, 0.7);
-  net.set_routing(0, 1, 0, 0.3);
-  for (std::size_t m = 0; m < 3; ++m) net.set_service_time(0, m, 0.8);
-  net.solve_traffic_equations();
-  sim::OpenSimulationConfig cfg;
-  cfg.sim_time = 20000.0;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    cfg.seed++;
-    const sim::OpenSimulationResult r = sim::simulate_open(net, cfg);
-    events += r.events;
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-  state.SetLabel("items = kernel events");
-}
-BENCHMARK(BM_OpenDesSimulation);
 
 void BM_ParallelReplications(benchmark::State& state) {
   // End-to-end replication harness: arg = worker count. Results are

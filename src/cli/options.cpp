@@ -1,9 +1,13 @@
 #include "cli/options.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "exp/parameter.hpp"
 #include "util/error.hpp"
 
 namespace latol::cli {
@@ -268,10 +272,21 @@ std::string usage() {
         "                        DESIGN.md §12)               [0]\n"
         "  --solver X            amva|linearizer|fesc        [amva]\n"
         "  --max-iterations N    AMVA iteration budget       [200000]\n\n"
-        "sweep flags:\n"
-        "  --param X   p_remote|threads|runlength|switch_delay|\n"
-        "              memory_latency|k|p_sw|context_switch|\n"
-        "              memory_ports                          [p_remote]\n"
+        "sweep flags:\n";
+  // The --param axes come from the sweep parameter table, so the help
+  // names every axis the sweep accepts.
+  const std::vector<std::string>& names = exp::parameter_names();
+  std::string line = "  --param X   ";
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const std::string item = names[i] + (i + 1 < names.size() ? "|" : "");
+    if (line.size() + item.size() > 53) {
+      os << line << '\n';
+      line = std::string(14, ' ');
+    }
+    line += item;
+  }
+  line.resize(std::max<std::size_t>(line.size() + 1, 52), ' ');
+  os << line << "[p_remote]\n"
         "  --from A --to B --steps N                         [0 0.8 9]\n"
         "  --jobs N    parallel sweep workers (0 = shared pool sized to\n"
         "              the hardware); output is byte-identical for every\n"

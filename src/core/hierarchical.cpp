@@ -122,7 +122,8 @@ MmsPerformance analyze_hierarchical(const MmsConfig& config,
     stations.reserve(sub.size() + 1);
     stations.push_back({"P0", qn::StationKind::kQueueing, 1});
     for (const SubStation& s : sub) {
-      stations.push_back({"F" + std::to_string(s.original), s.kind, s.servers});
+      stations.push_back({"F", s.kind, s.servers});
+      stations.back().name += std::to_string(s.original);
     }
     qn::ClosedNetwork net(std::move(stations), 1);
     net.set_population(0, config.threads_per_processor);

@@ -45,12 +45,19 @@ std::vector<qn::Station> make_station_list(const MmsConfig& config, int P) {
                                           ? qn::StationKind::kDelay
                                           : qn::StationKind::kQueueing;
   for (int n = 0; n < P; ++n) {
+    // Names are appended, not spelled `"P" + std::to_string(n)`: GCC 12
+    // at -O3 raises a false -Wrestrict on that operator+ form.
+    const std::string id = std::to_string(n);
+    const auto named = [&id](const char* prefix) {
+      std::string name = prefix;
+      name += id;
+      return name;
+    };
+    station_list.push_back({named("P"), qn::StationKind::kQueueing, 1});
     station_list.push_back(
-        {"P" + std::to_string(n), qn::StationKind::kQueueing, 1});
-    station_list.push_back({"M" + std::to_string(n),
-                            qn::StationKind::kQueueing, config.memory_ports});
-    station_list.push_back({"I" + std::to_string(n), switch_kind, 1});
-    station_list.push_back({"O" + std::to_string(n), switch_kind, 1});
+        {named("M"), qn::StationKind::kQueueing, config.memory_ports});
+    station_list.push_back({named("I"), switch_kind, 1});
+    station_list.push_back({named("O"), switch_kind, 1});
   }
   return station_list;
 }
@@ -337,12 +344,10 @@ MmsPerformance analyze(const MmsConfig& config,
     hopts.tolerance = std::max(options.amva.tolerance, 1e-14);
     return analyze_hierarchical(config, hopts);
   }
-  const bool linearizer =
-      options.use_linearizer || options.method == SolveMethod::kLinearizer;
   const MmsModel model(config);
   const qn::ClosedNetwork net = model.build_network();
   qn::RobustOptions ropts;
-  if (linearizer) {
+  if (options.method == SolveMethod::kLinearizer) {
     ropts.chain = {qn::SolverKind::kLinearizer, qn::SolverKind::kAmva,
                    qn::SolverKind::kExactMva, qn::SolverKind::kBounds};
     ropts.linearizer.tolerance = options.amva.tolerance;

@@ -82,7 +82,10 @@ class MmsModel {
   std::unique_ptr<topo::RemoteAccessDistribution> traffic_;
 };
 
-/// Headline performance measures for one (symmetric) processing element.
+/// Headline performance measures as seen from node 0 (class 0, its
+/// processor and memory). They describe the whole machine only under
+/// SPMD symmetry (vertex-transitive topology, no hotspot); on a mesh or
+/// with a hotspot they are node 0's view alone (ROADMAP item 2).
 struct MmsPerformance {
   double processor_utilization = 0;  ///< U_p = lambda * R (Eq. 3)
   double access_rate = 0;            ///< lambda_i: memory accesses per time unit
@@ -135,8 +138,6 @@ enum class SolveMethod {
 /// Knobs for the analyze() overload with solver selection.
 struct AnalysisOptions {
   qn::AmvaOptions amva{};
-  /// Back-compat flag, equivalent to method = kLinearizer.
-  bool use_linearizer = false;
   SolveMethod method = SolveMethod::kAmva;
   /// Warm-start hints forwarded to the AMVA/Linearizer links of the
   /// robust chain (qn/hints.hpp, DESIGN.md §15). Ignored by the

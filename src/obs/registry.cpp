@@ -69,14 +69,6 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& entry : counters_) entry.slot.reset();
-  for (auto& entry : gauges_) entry.slot.reset();
-  for (auto& entry : timers_) entry.slot.reset();
-  for (auto& entry : histograms_) entry.slot.reset();
-}
-
 namespace {
 
 /// Map a registry slot name ("serve.queue_depth") to a legal Prometheus

@@ -38,7 +38,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -51,7 +50,6 @@ class Gauge {
   [[nodiscard]] double value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -69,10 +67,6 @@ class Timer {
   }
   [[nodiscard]] std::uint64_t count() const {
     return count_.load(std::memory_order_relaxed);
-  }
-  void reset() {
-    seconds_.store(0.0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -119,11 +113,6 @@ class Histogram {
   }
   [[nodiscard]] double sum() const {
     return sum_.load(std::memory_order_relaxed);
-  }
-  void reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0.0, std::memory_order_relaxed);
   }
 
  private:
@@ -178,9 +167,6 @@ class Registry {
   Histogram& histogram(std::string_view name);
 
   [[nodiscard]] Snapshot snapshot() const;
-
-  /// Zero every slot (names and identities are kept).
-  void reset();
 
  private:
   template <class Slot>

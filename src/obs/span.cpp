@@ -247,8 +247,6 @@ void Span::detail(std::string text) {
   detail_ = std::move(text);
 }
 
-std::uint64_t Span::current() { return t_current_span; }
-
 void instant(const char* name, const char* category) {
   TraceSink* sink = default_trace_sink();
   if (sink == nullptr) return;

@@ -142,10 +142,6 @@ class Span {
   /// This span's id (0 when tracing is off).
   [[nodiscard]] std::uint64_t id() const { return id_; }
 
-  /// The calling thread's innermost live span id (0 = none). Use to
-  /// hand a parent link to work scheduled onto other threads.
-  [[nodiscard]] static std::uint64_t current();
-
  private:
   void open(const char* name, const char* category, std::uint64_t parent);
 

@@ -1,9 +1,7 @@
 #include "qn/open/open_network.hpp"
 
 #include <cmath>
-#include <sstream>
 
-#include "qn/solver_error.hpp"
 #include "util/error.hpp"
 
 namespace latol::qn {
@@ -13,8 +11,7 @@ OpenNetwork::OpenNetwork(std::vector<Station> stations,
     : stations_(std::move(stations)),
       arrival_(num_classes, 0.0),
       visits_(num_classes, stations_.size(), 0.0),
-      service_(num_classes, stations_.size(), 0.0),
-      entry_(num_classes, stations_.size(), 0.0) {
+      service_(num_classes, stations_.size(), 0.0) {
   LATOL_REQUIRE(!stations_.empty(), "open network needs at least one station");
   LATOL_REQUIRE(num_classes > 0, "open network needs at least one class");
   for (const Station& st : stations_) {
@@ -63,133 +60,6 @@ double OpenNetwork::service_time(std::size_t c, std::size_t m) const {
   return service_(c, m);
 }
 
-void OpenNetwork::ensure_routing_storage() {
-  if (!has_routing_) {
-    routing_.assign(num_classes(),
-                    util::Matrix(num_stations(), num_stations(), 0.0));
-    has_routing_ = true;
-  }
-}
-
-void OpenNetwork::set_entry(std::size_t c, std::size_t m, double p) {
-  LATOL_REQUIRE(c < num_classes(), "class index " << c);
-  LATOL_REQUIRE(p >= 0.0 && std::isfinite(p),
-                "class " << c << " entry probability at station " << m
-                         << " is " << p);
-  ensure_routing_storage();
-  entry_(c, m) = p;
-}
-
-void OpenNetwork::set_routing(std::size_t c, std::size_t from, std::size_t to,
-                              double p) {
-  LATOL_REQUIRE(c < num_classes(), "class index " << c);
-  LATOL_REQUIRE(from < num_stations() && to < num_stations(),
-                "routing (" << from << " -> " << to << ") out of range");
-  LATOL_REQUIRE(p >= 0.0 && p <= 1.0 && std::isfinite(p),
-                "class " << c << " routing probability " << from << " -> "
-                         << to << " is " << p << "; must lie in [0, 1]");
-  ensure_routing_storage();
-  routing_[c](from, to) = p;
-}
-
-std::vector<std::size_t> OpenNetwork::sink_unreachable(std::size_t c) const {
-  const std::size_t n = num_stations();
-  // Reverse reachability from "can leave": a station whose routing row sums
-  // to < 1 departs directly; anything that can reach such a station drains
-  // eventually. Everything else traps jobs forever.
-  std::vector<char> drains(n, 0);
-  const util::Matrix& r = routing_[c];
-  for (std::size_t m = 0; m < n; ++m) {
-    double row = 0.0;
-    for (std::size_t to = 0; to < n; ++to) row += r(m, to);
-    if (row < 1.0 - 1e-12) drains[m] = 1;
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t m = 0; m < n; ++m) {
-      if (drains[m]) continue;
-      for (std::size_t to = 0; to < n; ++to) {
-        if (r(m, to) > 0.0 && drains[to]) {
-          drains[m] = 1;
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
-  std::vector<std::size_t> trapped;
-  for (std::size_t m = 0; m < n; ++m) {
-    if (!drains[m]) trapped.push_back(m);
-  }
-  return trapped;
-}
-
-void OpenNetwork::solve_traffic_equations() {
-  LATOL_REQUIRE(has_routing_,
-                "solve_traffic_equations needs set_entry/set_routing first");
-  const std::size_t n = num_stations();
-  for (std::size_t c = 0; c < num_classes(); ++c) {
-    if (arrival_[c] <= 0.0) continue;
-    double entry_sum = 0.0;
-    for (std::size_t m = 0; m < n; ++m) entry_sum += entry_(c, m);
-    if (entry_sum <= 0.0) {
-      std::ostringstream msg;
-      msg << "class " << c << " has arrival rate " << arrival_[c]
-          << " but no entry station (set_entry all zero)";
-      throw SolverError(SolverErrorCode::kInvalidNetwork, msg.str());
-    }
-    const util::Matrix& r = routing_[c];
-    for (std::size_t m = 0; m < n; ++m) {
-      double row = 0.0;
-      for (std::size_t to = 0; to < n; ++to) row += r(m, to);
-      if (row > 1.0 + 1e-12) {
-        std::ostringstream msg;
-        msg << "class " << c << " routing out of station "
-            << stations_[m].name << " sums to " << row
-            << " (> 1); probabilities of one departure must not exceed 1";
-        throw SolverError(SolverErrorCode::kInvalidNetwork, msg.str());
-      }
-    }
-    const std::vector<std::size_t> trapped = sink_unreachable(c);
-    if (!trapped.empty()) {
-      std::ostringstream msg;
-      msg << "class " << c << " routing traps jobs at station "
-          << stations_[trapped.front()].name << " (and "
-          << (trapped.size() - 1)
-          << " more): the sink is unreachable, so the traffic equations "
-             "have no solution";
-      throw SolverError(SolverErrorCode::kInvalidNetwork, msg.str());
-    }
-    // v = e + R^T v  <=>  (I - R^T) v = e, with e the normalized entry row.
-    util::Matrix a(n, n, 0.0);
-    std::vector<double> e(n, 0.0);
-    for (std::size_t row = 0; row < n; ++row) {
-      a(row, row) = 1.0;
-      for (std::size_t col = 0; col < n; ++col) a(row, col) -= r(col, row);
-      e[row] = entry_(c, row) / entry_sum;
-    }
-    const std::vector<double> v = util::solve_linear_system(std::move(a), e);
-    for (std::size_t m = 0; m < n; ++m) {
-      // Elimination round-off can leave tiny negative visits at unvisited
-      // stations; clamp rather than propagate -1e-18 into demands.
-      visits_(c, m) = v[m] > 0.0 ? v[m] : 0.0;
-    }
-  }
-}
-
-double OpenNetwork::entry(std::size_t c, std::size_t m) const {
-  if (!has_routing_) return 0.0;
-  return entry_(c, m);
-}
-
-double OpenNetwork::routing(std::size_t c, std::size_t from,
-                            std::size_t to) const {
-  if (!has_routing_) return 0.0;
-  LATOL_REQUIRE(c < num_classes(), "class index " << c);
-  return routing_[c](from, to);
-}
-
 double OpenNetwork::station_arrival(std::size_t c, std::size_t m) const {
   return arrival_[c] * visits_(c, m);
 }
@@ -214,18 +84,8 @@ void OpenNetwork::validate() const {
       total_visits += visits_(c, m);
     LATOL_REQUIRE(total_visits > 0.0,
                   "class " << c << " has arrival rate " << arrival_[c]
-                           << " but zero total visits; set visit ratios or "
-                              "routing first");
-  }
-  if (has_routing_) {
-    for (std::size_t c = 0; c < num_classes(); ++c) {
-      if (arrival_[c] <= 0.0) continue;
-      const std::vector<std::size_t> trapped = sink_unreachable(c);
-      LATOL_REQUIRE(trapped.empty(),
-                    "class " << c << " routing traps jobs at station "
-                             << stations_[trapped.front()].name
-                             << ": the sink is unreachable");
-    }
+                           << " but zero total visits; set visit ratios "
+                              "first");
   }
 }
 

@@ -7,13 +7,9 @@
 // Station struct), so mixed open/closed models (qn/open/mixed.hpp) can put
 // both kinds of traffic on one set of service centers.
 //
-// Workloads can be described two ways, and both produce identical Jackson
-// solutions (product-form metrics depend only on per-station arrival
-// rates):
-//  - directly, via per-class visit ratios (mean visits per job), or
-//  - via a probabilistic routing matrix plus an entry distribution, from
-//    which `solve_traffic_equations()` derives the visit ratios by solving
-//    v = e + R^T v.
+// Workloads are described by per-class visit ratios (mean visits per
+// job): product-form metrics depend only on per-station arrival rates, so
+// a routing matrix would carry nothing the Jackson solution uses.
 #pragma once
 
 #include <cstddef>
@@ -25,15 +21,15 @@
 namespace latol::qn {
 
 /// A multi-class open queueing network: per-class Poisson arrival rates,
-/// visit ratios (set directly or derived from routing), and service times.
+/// visit ratios, and service times.
 /// Stability (utilization < 1 everywhere) is the *solver's* concern
 /// (jackson.hpp raises SolverErrorCode::kUnstable); `validate()` checks
 /// the description itself is well-formed.
 class OpenNetwork {
  public:
   /// `stations` defines the service centers; `num_classes` open classes
-  /// are created with zero arrival rate, zero visit ratios, zero service,
-  /// and no routing.
+  /// are created with zero arrival rate, zero visit ratios, and zero
+  /// service.
   OpenNetwork(std::vector<Station> stations, std::size_t num_classes);
 
   [[nodiscard]] std::size_t num_stations() const { return stations_.size(); }
@@ -48,45 +44,13 @@ class OpenNetwork {
   [[nodiscard]] double arrival_rate(std::size_t c) const;
 
   /// Mean visits by a class-`c` job to station `m` between arrival and
-  /// departure. Overwritten by `solve_traffic_equations()` when routing is
-  /// used.
+  /// departure.
   void set_visit_ratio(std::size_t c, std::size_t m, double v);
   [[nodiscard]] double visit_ratio(std::size_t c, std::size_t m) const;
 
   /// Mean service time of a class-`c` job at station `m`.
   void set_service_time(std::size_t c, std::size_t m, double s);
   [[nodiscard]] double service_time(std::size_t c, std::size_t m) const;
-
-  /// Fraction of class-`c` external arrivals that enter the network at
-  /// station `m` (rows of the entry distribution need not be normalized;
-  /// `solve_traffic_equations` scales by the row sum).
-  void set_entry(std::size_t c, std::size_t m, double p);
-
-  /// Probability that a class-`c` job leaving station `from` goes next to
-  /// station `to`. Row deficits (1 - sum of a row) are the probability of
-  /// departing to the sink.
-  void set_routing(std::size_t c, std::size_t from, std::size_t to, double p);
-
-  /// Derive visit ratios from the entry distribution and routing matrix by
-  /// solving the traffic equations v = e + R^T v per class. Throws
-  /// SolverError(kInvalidNetwork) when a class with arrivals has no entry
-  /// station or its routing traps jobs away from the sink (the linear
-  /// system is singular exactly when some visited station cannot reach the
-  /// sink), with the offending class and station named.
-  void solve_traffic_equations();
-
-  /// True once set_entry/set_routing has been called; the DES simulator
-  /// (sim/open_des.hpp) needs an explicit routing description to walk.
-  [[nodiscard]] bool has_routing() const { return has_routing_; }
-
-  /// Entry probability mass of class `c` at station `m` (as set; 0 when
-  /// routing was never provided).
-  [[nodiscard]] double entry(std::size_t c, std::size_t m) const;
-
-  /// Routing probability of class `c` from station `from` to `to` (0 when
-  /// routing was never provided).
-  [[nodiscard]] double routing(std::size_t c, std::size_t from,
-                               std::size_t to) const;
 
   /// Arrival rate of class-`c` jobs at station `m`:
   /// lambda_c x visit_ratio(c, m).
@@ -100,8 +64,7 @@ class OpenNetwork {
   /// Throws InvalidArgument unless the description is well-formed: at
   /// least one class has a positive arrival rate, and every class with
   /// arrivals has positive total visits. (Rates and ratios are already
-  /// range-checked at set time.) When routing was provided, also verifies
-  /// every station a job can occupy can reach the sink.
+  /// range-checked at set time.)
   void validate() const;
 
  private:
@@ -109,16 +72,6 @@ class OpenNetwork {
   std::vector<double> arrival_;
   util::Matrix visits_;   // classes x stations
   util::Matrix service_;  // classes x stations
-  util::Matrix entry_;    // classes x stations; meaningful iff has_routing_
-  /// Per-class routing matrices (stations x stations); empty vector until
-  /// the first set_routing/set_entry call.
-  std::vector<util::Matrix> routing_;
-  bool has_routing_ = false;
-
-  void ensure_routing_storage();
-  /// Stations from which the sink is unreachable under class-`c` routing;
-  /// empty when all can drain.
-  [[nodiscard]] std::vector<std::size_t> sink_unreachable(std::size_t c) const;
 };
 
 }  // namespace latol::qn

@@ -61,22 +61,6 @@ const std::string* HttpRequest::header(std::string_view name) const {
   return nullptr;
 }
 
-const char* read_status_name(ReadStatus status) {
-  switch (status) {
-    case ReadStatus::kOk:
-      return "ok";
-    case ReadStatus::kClosed:
-      return "closed";
-    case ReadStatus::kMalformed:
-      return "malformed";
-    case ReadStatus::kTooLarge:
-      return "too-large";
-    case ReadStatus::kTimeout:
-      return "timeout";
-  }
-  return "?";
-}
-
 const char* http_status_reason(int status) {
   switch (status) {
     case 200:

@@ -62,10 +62,6 @@ enum class ReadStatus {
   kTimeout,    ///< peer stalled longer than the receive timeout
 };
 
-/// Stable name of a ReadStatus ("ok", "closed", ...) for logs and
-/// metrics.
-[[nodiscard]] const char* read_status_name(ReadStatus status);
-
 /// Canonical reason phrase for the status codes the server emits
 /// ("Not Found" for 404, ...); "Unknown" for anything else.
 [[nodiscard]] const char* http_status_reason(int status);

@@ -15,19 +15,8 @@ std::uint32_t Simulator::acquire_slot() {
 void Simulator::release_slot(std::uint32_t idx) {
   Slot& s = slots_[idx];
   s.invoke = nullptr;
-  ++s.generation;  // invalidate outstanding EventIds for this slot
   s.next_free = free_head_;
   free_head_ = idx;
-}
-
-bool Simulator::cancel(EventId id) {
-  if (id.slot >= slots_.size()) return false;
-  Slot& s = slots_[id.slot];
-  if (s.generation != id.generation || s.invoke == nullptr) return false;
-  const bool erased = queue_.erase(s.time, id.slot);
-  LATOL_REQUIRE(erased, "pending event missing from calendar");
-  release_slot(id.slot);
-  return true;
 }
 
 void Simulator::run_until(SimTime horizon) {

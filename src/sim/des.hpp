@@ -22,13 +22,6 @@ namespace latol::sim {
 /// Simulation clock type (model time units, as in the paper).
 using SimTime = double;
 
-/// Handle to a scheduled event: arena slot plus a generation stamp so a
-/// handle left over from a recycled slot can never cancel the wrong event.
-struct EventId {
-  std::uint32_t slot = 0;
-  std::uint32_t generation = 0;
-};
-
 /// Small trivially-copyable type-erased callable (up to kCapacity bytes of
 /// captures). The arena kernel's analog of std::function<void()>: storing
 /// or copying one never allocates, so completion callbacks can ride inside
@@ -79,10 +72,9 @@ class Simulator {
 
   /// Schedule `action` at absolute time `t` (>= now). `action` must be
   /// trivially copyable and at most kMaxPayload bytes; it is copied into
-  /// an arena slot and destroyed by forgetting. Returns a handle usable
-  /// with cancel() until the event fires.
+  /// an arena slot and destroyed by forgetting.
   template <class F>
-  EventId schedule(SimTime t, F action) {
+  void schedule(SimTime t, F action) {
     static_assert(std::is_trivially_copyable_v<F>,
                   "event actions must be trivially copyable");
     static_assert(sizeof(F) <= kMaxPayload, "event action too large");
@@ -96,19 +88,14 @@ class Simulator {
     s.time = t;
     std::memcpy(s.payload, &action, sizeof(F));
     queue_.push(t, idx);
-    return EventId{idx, s.generation};
   }
 
   /// Schedule `action` after `delay` model time units.
   template <class F>
-  EventId schedule_after(SimTime delay, F action) {
+  void schedule_after(SimTime delay, F action) {
     LATOL_REQUIRE(delay >= 0.0, "negative delay " << delay);
-    return schedule(now_ + delay, std::move(action));
+    schedule(now_ + delay, std::move(action));
   }
-
-  /// Remove a pending event. Returns true if it was still pending; false
-  /// if it already fired or was cancelled (the slot's generation moved on).
-  bool cancel(EventId id);
 
   /// Execute events in time order until the calendar is empty or the next
   /// event is later than `horizon`. The clock ends at min(horizon, last
@@ -117,7 +104,7 @@ class Simulator {
 
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  /// Calendar-queue operations so far (pushes + pops + erases).
+  /// Calendar-queue operations so far (pushes + pops).
   [[nodiscard]] std::uint64_t queue_ops() const { return queue_.ops(); }
   /// Events currently scheduled.
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
@@ -125,12 +112,11 @@ class Simulator {
  private:
   using Invoke = void (*)(void*);
 
-  /// One arena slot: thunk + fire time + recycling bookkeeping + the
-  /// closure bytes. invoke == nullptr marks a free slot.
+  /// One arena slot: thunk + fire time + freelist link + the closure
+  /// bytes. invoke == nullptr marks a free slot.
   struct Slot {
     Invoke invoke = nullptr;
     SimTime time = 0.0;
-    std::uint32_t generation = 0;
     std::uint32_t next_free = 0;
     alignas(std::max_align_t) unsigned char payload[kMaxPayload];
   };

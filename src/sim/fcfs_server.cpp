@@ -27,7 +27,6 @@ void FcfsServer::ring_push(const Job& job) {
 void FcfsServer::reset_stats() {
   completions_ = 0;
   busy_fraction_.reset(sim_.now());
-  qlen_.reset(sim_.now());
   residence_.reset();
 }
 
@@ -35,12 +34,6 @@ double FcfsServer::utilization() const {
   LATOL_REQUIRE(track(StatTracking::kBusy),
                 "utilization tracking disabled on " << name_);
   return busy_fraction_.mean(sim_.now());
-}
-
-double FcfsServer::mean_queue_length() const {
-  LATOL_REQUIRE(track(StatTracking::kQueueLength),
-                "queue-length tracking disabled on " << name_);
-  return qlen_.mean(sim_.now());
 }
 
 }  // namespace latol::sim

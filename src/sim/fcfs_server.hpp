@@ -16,25 +16,17 @@ namespace latol::sim {
 /// always maintained.
 enum class StatTracking : unsigned {
   kNone = 0,
-  kBusy = 1,         ///< utilization()
-  kQueueLength = 2,  ///< mean_queue_length()
-  kResidence = 4,    ///< mean_residence()
-  kAll = 7,
+  kBusy = 1,       ///< utilization()
+  kResidence = 2,  ///< mean_residence()
+  kAll = 3,        ///< kBusy and kResidence
 };
-
-/// Combine tracking masks: `kBusy | kResidence`.
-[[nodiscard]] constexpr StatTracking operator|(StatTracking a,
-                                               StatTracking b) {
-  return static_cast<StatTracking>(static_cast<unsigned>(a) |
-                                   static_cast<unsigned>(b));
-}
 
 /// An exponential/deterministic service center with a FIFO queue and
 /// `servers` parallel servers (1 = the paper's stations; >1 models e.g. a
 /// multiported memory). Jobs are (service time, completion callback)
 /// pairs; the server tracks utilization (mean fraction of busy servers),
-/// completions, per-job residence time, and time-averaged queue length,
-/// and supports resetting statistics at the end of a warmup period.
+/// completions, and per-job residence time, and supports resetting
+/// statistics at the end of a warmup period.
 /// Waiting jobs sit in a flat ring buffer and callbacks are InlineFn, so
 /// steady-state operation performs no heap allocation.
 class FcfsServer {
@@ -49,7 +41,6 @@ class FcfsServer {
   void submit(double service_time, InlineFn on_done) {
     LATOL_REQUIRE(service_time >= 0.0, "service time " << service_time);
     const double now = sim_.now();
-    if (track(StatTracking::kQueueLength)) qlen_.add(now, +1.0);
     if (in_service_ < servers_ && waiting_count_ == 0) {
       start_job(service_time, now, on_done);
       return;
@@ -67,7 +58,6 @@ class FcfsServer {
   [[nodiscard]] std::uint64_t completions() const { return completions_; }
   /// Mean fraction of servers busy (busy-time fraction when servers == 1).
   [[nodiscard]] double utilization() const;
-  [[nodiscard]] double mean_queue_length() const;
   /// Mean residence (wait + service) per completed job.
   [[nodiscard]] double mean_residence() const {
     LATOL_REQUIRE(track(StatTracking::kResidence),
@@ -97,7 +87,6 @@ class FcfsServer {
       --in_service_;
       update_busy();
       ++completions_;
-      if (track(StatTracking::kQueueLength)) qlen_.add(sim_.now(), -1.0);
       if (track(StatTracking::kResidence))
         residence_.add(sim_.now() - arrival);
       try_start();
@@ -142,7 +131,6 @@ class FcfsServer {
   int in_service_ = 0;
   std::uint64_t completions_ = 0;
   TimeAverage busy_fraction_;
-  TimeAverage qlen_;
   OnlineStats residence_;
 };
 

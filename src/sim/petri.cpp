@@ -42,21 +42,6 @@ void StochasticPetriNet::add_output(TransitionId t, PlaceId p, long weight) {
   transitions_[t].outputs.push_back(Arc{p, weight});
 }
 
-const std::string& StochasticPetriNet::place_name(PlaceId p) const {
-  LATOL_REQUIRE(p < places_.size(), "place " << p);
-  return places_[p].name;
-}
-
-const std::string& StochasticPetriNet::transition_name(TransitionId t) const {
-  LATOL_REQUIRE(t < transitions_.size(), "transition " << t);
-  return transitions_[t].name;
-}
-
-long StochasticPetriNet::initial_tokens(PlaceId p) const {
-  LATOL_REQUIRE(p < places_.size(), "place " << p);
-  return places_[p].initial;
-}
-
 void StochasticPetriNet::validate() const {
   LATOL_REQUIRE(!places_.empty(), "net has no places");
   LATOL_REQUIRE(!transitions_.empty(), "net has no transitions");
@@ -164,20 +149,8 @@ CompiledPetriNet::CompiledPetriNet(const StochasticPetriNet& net) {
 
 // --- PetriSimulator ----------------------------------------------------------
 
-PetriSimulator::PetriSimulator(const StochasticPetriNet& net,
-                               std::uint64_t seed)
-    : owned_(std::make_unique<const CompiledPetriNet>(net)),
-      net_(*owned_),
-      rng_(seed) {
-  init();
-}
-
 PetriSimulator::PetriSimulator(const CompiledPetriNet& net, std::uint64_t seed)
     : net_(net), rng_(seed) {
-  init();
-}
-
-void PetriSimulator::init() {
   const std::size_t P = net_.num_places();
   const std::size_t T = net_.num_transitions();
   marking_ = net_.initial_;

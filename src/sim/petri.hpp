@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,9 +72,6 @@ class StochasticPetriNet {
   [[nodiscard]] std::size_t num_transitions() const {
     return transitions_.size();
   }
-  [[nodiscard]] const std::string& place_name(PlaceId p) const;
-  [[nodiscard]] const std::string& transition_name(TransitionId t) const;
-  [[nodiscard]] long initial_tokens(PlaceId p) const;
 
   /// Throws InvalidArgument on structural problems (transition without
   /// inputs, nonpositive delays on timed transitions, ...).
@@ -177,9 +173,6 @@ struct PetriStats {
 /// Token-game simulator over a compiled net.
 class PetriSimulator {
  public:
-  /// Convenience: compile `net` privately and simulate it.
-  PetriSimulator(const StochasticPetriNet& net, std::uint64_t seed);
-
   /// Simulate `net`, which must outlive the simulator; the compiled net
   /// is shared, so parallel replications pay for compilation once.
   PetriSimulator(const CompiledPetriNet& net, std::uint64_t seed);
@@ -191,8 +184,6 @@ class PetriSimulator {
   [[nodiscard]] long tokens(PlaceId p) const { return marking_[p]; }
 
  private:
-  /// Shared constructor body: initial marking, clocks, immediate pool.
-  void init();
   /// Per-transition dynamic state, packed so the post-firing touch walk
   /// reads one cache line per transition instead of three scattered
   /// arrays (clock, enabledness deficit, pool membership).
@@ -249,7 +240,6 @@ class PetriSimulator {
   }
   [[noreturn]] void fail_negative_marking(std::uint32_t p) const;
 
-  std::unique_ptr<const CompiledPetriNet> owned_;  // legacy-ctor storage
   const CompiledPetriNet& net_;
   Rng rng_;
   std::vector<long> marking_;

@@ -41,22 +41,4 @@ ReplicationRun<PetriMmsResult> replicate_mms_petri(
   return run;
 }
 
-ReplicationRun<OpenSimulationResult> replicate_open(
-    const qn::OpenNetwork& net, const OpenSimulationConfig& base,
-    const ReplicationPlan& plan) {
-  LATOL_REQUIRE(net.num_classes() >= 1, "open network has no classes");
-  auto run = run_replications<OpenSimulationResult>(
-      plan,
-      [&](std::size_t i) {
-        obs::ScopedTimer timer("sim.rep.seconds");
-        OpenSimulationConfig cfg = base;
-        cfg.seed = base.seed + i;
-        return simulate_open(net, cfg);
-      },
-      [](const OpenSimulationResult& r) { return r.response_time[0]; });
-  obs::count("sim.rep.runs", run.runs.size());
-  obs::count("sim.rep.discarded", run.speculative_discarded);
-  return run;
-}
-
 }  // namespace latol::sim

@@ -33,7 +33,6 @@
 #include "obs/span.hpp"
 #include "sim/mms_des.hpp"
 #include "sim/mms_petri.hpp"
-#include "sim/open_des.hpp"
 #include "sim/stats.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -165,11 +164,5 @@ ReplicationRun<Result> run_replications(const ReplicationPlan& plan,
     const core::MmsConfig& config, double sim_time, double warmup_fraction,
     std::uint64_t base_seed, const ReplicationPlan& plan,
     ServiceDistribution memory_dist = ServiceDistribution::kExponential);
-
-/// Replicate the open-network simulation. The CI metric is the class-0
-/// end-to-end response time.
-[[nodiscard]] ReplicationRun<OpenSimulationResult> replicate_open(
-    const qn::OpenNetwork& net, const OpenSimulationConfig& base,
-    const ReplicationPlan& plan);
 
 }  // namespace latol::sim

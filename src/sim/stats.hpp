@@ -41,8 +41,8 @@ class TimeAverage {
       : value_(initial), last_change_(start_time), start_(start_time) {}
 
   /// Record that the signal takes value `v` from time `now` on.
-  /// Hot path: called for every queue-length and busy-state change the
-  /// simulators record, so it lives in the header.
+  /// Hot path: called for every busy-state change the DES records, so it
+  /// lives in the header.
   void set(double now, double v) {
     LATOL_REQUIRE(now + 1e-12 >= last_change_,
                   "time went backwards: " << now << " < " << last_change_);
@@ -50,9 +50,6 @@ class TimeAverage {
     value_ = v;
     last_change_ = now;
   }
-
-  /// Add `delta` to the current value at time `now`.
-  void add(double now, double delta) { set(now, value_ + delta); }
 
   /// Restart integration at `now`, keeping the current value.
   void reset(double now);

@@ -8,13 +8,6 @@
 
 namespace latol::topo {
 
-std::vector<int> Topology::nodes_at_distance(int from, int h) const {
-  std::vector<int> out;
-  for (int n = 0; n < num_nodes(); ++n)
-    if (distance(from, n) == h) out.push_back(n);
-  return out;
-}
-
 std::vector<int> Topology::distance_profile_from(int from) const {
   std::vector<int> profile(static_cast<std::size_t>(max_distance()) + 1, 0);
   for (int n = 0; n < num_nodes(); ++n)

@@ -48,9 +48,6 @@ class Topology {
   /// center. Affects how traffic distributions are tabulated.
   [[nodiscard]] virtual bool is_vertex_transitive() const = 0;
 
-  /// Nodes at distance h from `from`.
-  [[nodiscard]] std::vector<int> nodes_at_distance(int from, int h) const;
-
   /// Distance histogram as seen from `from` (index = distance).
   [[nodiscard]] std::vector<int> distance_profile_from(int from) const;
 };

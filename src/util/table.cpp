@@ -26,8 +26,6 @@ std::string Table::num(double v, int precision) {
   return os.str();
 }
 
-std::string Table::num(long long v) { return std::to_string(v); }
-
 void Table::print(std::ostream& os) const {
   std::vector<std::size_t> width(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) width[c] = headers_[c].size();

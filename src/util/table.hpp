@@ -24,9 +24,6 @@ class Table {
   /// Format a double with `precision` digits after the decimal point.
   static std::string num(double v, int precision = 4);
 
-  /// Format an integer-valued cell.
-  static std::string num(long long v);
-
   /// Number of data rows currently stored.
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
 

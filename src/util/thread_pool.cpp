@@ -42,11 +42,6 @@ void ThreadPool::submit(std::function<void()> task) {
   task_ready_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -56,14 +51,8 @@ void ThreadPool::worker_loop() {
       if (tasks_.empty()) return;  // stopping_ with a drained queue
       task = std::move(tasks_.front());
       tasks_.pop();
-      ++in_flight_;
     }
     task();
-    {
-      const std::lock_guard lock(mutex_);
-      --in_flight_;
-      if (tasks_.empty() && in_flight_ == 0) idle_.notify_all();
-    }
   }
 }
 

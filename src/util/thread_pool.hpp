@@ -42,11 +42,9 @@ class ThreadPool {
   /// instead of oversubscribing the machine.
   static ThreadPool& shared();
 
-  /// Enqueue one task.
+  /// Enqueue one task. Destruction runs every queued task before the
+  /// workers exit.
   void submit(std::function<void()> task);
-
-  /// Block until every submitted task has finished executing.
-  void wait_idle();
 
   /// Number of worker threads (excludes callers that join a
   /// parallel_for).
@@ -57,10 +55,8 @@ class ThreadPool {
 
   std::mutex mutex_;
   std::condition_variable task_ready_;
-  std::condition_variable idle_;
   std::queue<std::function<void()>> tasks_;
   std::vector<std::thread> threads_;
-  std::size_t in_flight_ = 0;
   bool stopping_ = false;
 };
 

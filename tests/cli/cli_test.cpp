@@ -8,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "exp/parameter.hpp"
 #include "io/json.hpp"
 #include "util/error.hpp"
 
@@ -224,6 +225,14 @@ TEST(CliMain, UsageDocumentsExitCodes) {
   EXPECT_NE(usage().find("exit codes"), std::string::npos);
   EXPECT_NE(usage().find("solve failed"), std::string::npos);
   EXPECT_NE(usage().find("run"), std::string::npos);
+}
+
+TEST(CliMain, UsageNamesEverySweepAxis) {
+  const std::string text = usage();
+  const std::string flags = text.substr(text.find("sweep flags:"));
+  for (const std::string& name : exp::parameter_names()) {
+    EXPECT_NE(flags.find(name), std::string::npos) << name;
+  }
 }
 
 // --- latol run ------------------------------------------------------------

@@ -291,7 +291,7 @@ TEST(MmsModel, LinearizerOptionTracksSimulationBetter) {
   // DES runs confirm). The option must select the better solver.
   const MmsConfig cfg = MmsConfig::paper_defaults();
   AnalysisOptions lin;
-  lin.use_linearizer = true;
+  lin.method = SolveMethod::kLinearizer;
   const double schw = analyze(cfg).processor_utilization;
   const double fine = analyze(cfg, lin).processor_utilization;
   EXPECT_NEAR(schw, 0.819, 0.01);

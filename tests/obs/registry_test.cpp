@@ -47,7 +47,7 @@ TEST_F(RegistryTest, SlotsAreStableReferences) {
   EXPECT_EQ(&first, &r.counter("stable"));
 }
 
-TEST_F(RegistryTest, SnapshotKeepsCreationOrderAndResetZeroes) {
+TEST_F(RegistryTest, SnapshotKeepsCreationOrder) {
   Registry r;
   r.counter("b").add(2);
   r.counter("a").add(1);
@@ -62,12 +62,6 @@ TEST_F(RegistryTest, SnapshotKeepsCreationOrderAndResetZeroes) {
   EXPECT_DOUBLE_EQ(s.gauges[0].value, 3.0);
   ASSERT_EQ(s.timers.size(), 1u);
   EXPECT_EQ(s.timers[0].count, 1u);
-  r.reset();
-  const Snapshot z = r.snapshot();
-  ASSERT_EQ(z.counters.size(), 2u);  // names survive
-  EXPECT_EQ(z.counters[0].value, 0u);
-  EXPECT_DOUBLE_EQ(z.gauges[0].value, 0.0);
-  EXPECT_EQ(z.timers[0].count, 0u);
 }
 
 TEST_F(RegistryTest, HelpersAreNoOpsWithoutARegistry) {
@@ -138,9 +132,6 @@ TEST_F(RegistryTest, HistogramBucketsObservationsByLogBound) {
   EXPECT_NEAR(h.sum(), 1e9 + 2.1e-6, 1.0);
   EXPECT_DOUBLE_EQ(Histogram::upper_bound(0), 1e-6);
   EXPECT_DOUBLE_EQ(Histogram::upper_bound(10), 1e-6 * 1024.0);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.bucket(0), 0u);
 }
 
 TEST_F(RegistryTest, HistogramSurvivesConcurrentObserve) {

@@ -11,8 +11,10 @@ namespace {
 ClosedNetwork make_net(long n, const std::vector<double>& demands,
                        const std::vector<StationKind>& kinds) {
   std::vector<Station> stations;
-  for (std::size_t i = 0; i < demands.size(); ++i)
-    stations.push_back({"s" + std::to_string(i), kinds[i]});
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    stations.push_back({"s", kinds[i]});
+    stations.back().name += std::to_string(i);
+  }
   ClosedNetwork net(std::move(stations), 1);
   net.set_population(0, n);
   for (std::size_t i = 0; i < demands.size(); ++i) {

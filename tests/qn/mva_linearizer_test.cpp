@@ -11,8 +11,10 @@ namespace {
 
 ClosedNetwork cyclic(long n, const std::vector<double>& demands) {
   std::vector<Station> stations;
-  for (std::size_t i = 0; i < demands.size(); ++i)
-    stations.push_back({"s" + std::to_string(i), StationKind::kQueueing});
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    stations.push_back({"s", StationKind::kQueueing});
+    stations.back().name += std::to_string(i);
+  }
   ClosedNetwork net(std::move(stations), 1);
   net.set_population(0, n);
   for (std::size_t i = 0; i < demands.size(); ++i) {

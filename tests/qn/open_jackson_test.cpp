@@ -68,26 +68,21 @@ TEST(OpenJackson, TandemChainSumsResidences) {
                    {"c", StationKind::kQueueing}},
                   1);
   net.set_arrival_rate(0, 0.5);
-  net.set_entry(0, 0, 1.0);
-  net.set_routing(0, 0, 1, 1.0);
-  net.set_routing(0, 1, 2, 1.0);
-  for (std::size_t m = 0; m < 3; ++m) net.set_service_time(0, m, 1.0);
-  net.solve_traffic_equations();
-  EXPECT_NEAR(net.visit_ratio(0, 0), 1.0, 1e-12);
-  EXPECT_NEAR(net.visit_ratio(0, 2), 1.0, 1e-12);
+  for (std::size_t m = 0; m < 3; ++m) {
+    net.set_visit_ratio(0, m, 1.0);
+    net.set_service_time(0, m, 1.0);
+  }
   const OpenSolution sol = solve_jackson(net);
   EXPECT_NEAR(sol.response_time[0], 6.0, 1e-12);
 }
 
 TEST(OpenJackson, FeedbackLoopInflatesVisits) {
-  // Departures return with probability 1/2: v = 1 / (1 - 1/2) = 2.
+  // Departures return with probability 1/2, so a job visits the queue
+  // v = 1 / (1 - 1/2) = 2 times on average.
   OpenNetwork net({{"q", StationKind::kQueueing}}, 1);
   net.set_arrival_rate(0, 0.25);
-  net.set_entry(0, 0, 1.0);
-  net.set_routing(0, 0, 0, 0.5);
+  net.set_visit_ratio(0, 0, 1.0 / (1.0 - 0.5));
   net.set_service_time(0, 0, 1.0);
-  net.solve_traffic_equations();
-  EXPECT_NEAR(net.visit_ratio(0, 0), 2.0, 1e-12);
   // Effective station arrival rate 0.5: identical to the direct M/M/1.
   const OpenSolution sol = solve_jackson(net);
   EXPECT_NEAR(sol.waiting(0, 0), 2.0, 1e-12);
@@ -138,33 +133,6 @@ TEST(OpenNetworkValidation, RejectsAllZeroArrivals) {
   net.set_visit_ratio(0, 0, 1.0);
   net.set_service_time(0, 0, 1.0);
   EXPECT_THROW(net.validate(), InvalidArgument);
-}
-
-TEST(OpenNetworkValidation, TrafficEquationsRejectTrappedRouting) {
-  // 0 -> 1 -> 0 forever: no station can reach the sink.
-  OpenNetwork net({{"a", StationKind::kQueueing},
-                   {"b", StationKind::kQueueing}},
-                  1);
-  net.set_arrival_rate(0, 0.1);
-  net.set_entry(0, 0, 1.0);
-  net.set_routing(0, 0, 1, 1.0);
-  net.set_routing(0, 1, 0, 1.0);
-  net.set_service_time(0, 0, 1.0);
-  net.set_service_time(0, 1, 1.0);
-  try {
-    net.solve_traffic_equations();
-    FAIL() << "expected SolverError";
-  } catch (const SolverError& e) {
-    EXPECT_EQ(e.code(), SolverErrorCode::kInvalidNetwork);
-  }
-}
-
-TEST(OpenNetworkValidation, TrafficEquationsRejectMissingEntry) {
-  OpenNetwork net({{"a", StationKind::kQueueing}}, 1);
-  net.set_arrival_rate(0, 0.1);
-  net.set_routing(0, 0, 0, 0.0);  // routing storage without an entry row
-  net.set_service_time(0, 0, 1.0);
-  EXPECT_THROW(net.solve_traffic_equations(), SolverError);
 }
 
 // --- mixed open/closed -----------------------------------------------------

@@ -18,8 +18,10 @@ namespace {
 /// Single-class tandem of queueing stations with the given demands.
 ClosedNetwork cyclic(long n, const std::vector<double>& demands) {
   std::vector<Station> stations;
-  for (std::size_t m = 0; m < demands.size(); ++m)
-    stations.push_back({"s" + std::to_string(m), StationKind::kQueueing});
+  for (std::size_t m = 0; m < demands.size(); ++m) {
+    stations.push_back({"s", StationKind::kQueueing});
+    stations.back().name += std::to_string(m);
+  }
   ClosedNetwork net(std::move(stations), 1);
   net.set_population(0, n);
   for (std::size_t m = 0; m < demands.size(); ++m) {

@@ -63,8 +63,10 @@ TEST(Robustness, ManyClassesManyStationsConverges) {
   // A 32-class, 64-station network (MmsModel-scale) with mixed demands.
   const std::size_t C = 32, M = 64;
   std::vector<Station> stations;
-  for (std::size_t m = 0; m < M; ++m)
-    stations.push_back({"s" + std::to_string(m), StationKind::kQueueing});
+  for (std::size_t m = 0; m < M; ++m) {
+    stations.push_back({"s", StationKind::kQueueing});
+    stations.back().name += std::to_string(m);
+  }
   ClosedNetwork net(std::move(stations), C);
   for (std::size_t c = 0; c < C; ++c) {
     net.set_population(c, 4);

@@ -6,7 +6,10 @@
 // paper's authors when they validated AMVA against a Petri-net simulator.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
+#include <sstream>
+#include <string>
 
 #include "qn/bounds.hpp"
 #include "qn/convolution.hpp"
@@ -21,6 +24,13 @@ struct NetCase {
   long population;
   std::vector<double> demands;
 };
+
+/// Prints `pop5_m3` (population, station count). CMake appends the printed
+/// parameter to each ctest name, and gtest's fallback would print the raw
+/// struct bytes, heap pointer included, which differ between builds.
+void PrintTo(const NetCase& c, std::ostream* os) {
+  *os << "pop" << c.population << "_m" << c.demands.size();
+}
 
 std::vector<NetCase> random_cases() {
   std::mt19937_64 gen(20260707);
@@ -40,8 +50,10 @@ class SolverAgreement : public ::testing::TestWithParam<NetCase> {
  protected:
   static ClosedNetwork build(const NetCase& c) {
     std::vector<Station> stations;
-    for (std::size_t i = 0; i < c.demands.size(); ++i)
-      stations.push_back({"s" + std::to_string(i), StationKind::kQueueing});
+    for (std::size_t i = 0; i < c.demands.size(); ++i) {
+      stations.push_back({"s", StationKind::kQueueing});
+      stations.back().name += std::to_string(i);
+    }
     ClosedNetwork net(std::move(stations), 1);
     net.set_population(0, c.population);
     for (std::size_t i = 0; i < c.demands.size(); ++i) {
@@ -111,8 +123,16 @@ TEST_P(SolverAgreement, UtilizationLawHolds) {
   }
 }
 
+/// `net3_pop5_m3`: the case index keeps the names unique.
+std::string net_case_name(const ::testing::TestParamInfo<NetCase>& info) {
+  std::ostringstream name;
+  name << "net" << info.index << '_';
+  PrintTo(info.param, &name);
+  return name.str();
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomNetworks, SolverAgreement,
-                         ::testing::ValuesIn(random_cases()));
+                         ::testing::ValuesIn(random_cases()), net_case_name);
 
 // ---------------------------------------------------------------------------
 // Multi-class family: AMVA vs exact MVA on two-class shared-station
@@ -122,6 +142,14 @@ struct MultiCase {
   long n0, n1;
   double r0, r1, mem;
 };
+
+/// Prints `n1x5_r10x10_mem5`: both populations, both runlengths, memory
+/// demand (whole numbers in every case below, so it is also a valid test
+/// name).
+void PrintTo(const MultiCase& c, std::ostream* os) {
+  *os << 'n' << c.n0 << 'x' << c.n1 << "_r" << c.r0 << 'x' << c.r1 << "_mem"
+      << c.mem;
+}
 
 class MultiClassAgreement : public ::testing::TestWithParam<MultiCase> {};
 
@@ -157,7 +185,8 @@ INSTANTIATE_TEST_SUITE_P(
     AsymmetricPairs, MultiClassAgreement,
     ::testing::Values(MultiCase{2, 2, 10, 10, 5}, MultiCase{1, 5, 10, 10, 5},
                       MultiCase{4, 4, 10, 2, 5}, MultiCase{3, 3, 1, 1, 10},
-                      MultiCase{6, 2, 8, 3, 4}));
+                      MultiCase{6, 2, 8, 3, 4}),
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace latol::qn

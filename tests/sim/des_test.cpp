@@ -81,29 +81,6 @@ TEST(Simulator, RejectsSchedulingInThePast) {
   EXPECT_THROW(sim.schedule_after(-1.0, [] {}), InvalidArgument);
 }
 
-TEST(Simulator, CancelPreventsExecutionExactlyOnce) {
-  Simulator sim;
-  int fired = 0;
-  const EventId id = sim.schedule(3.0, [&] { ++fired; });
-  EXPECT_TRUE(sim.cancel(id));
-  EXPECT_FALSE(sim.cancel(id));  // generation moved on
-  sim.run_until(10.0);
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(sim.events_executed(), 0u);
-}
-
-TEST(Simulator, StaleHandleCannotCancelRecycledSlot) {
-  Simulator sim;
-  int first = 0, second = 0;
-  const EventId id = sim.schedule(1.0, [&] { ++first; });
-  sim.run_until(2.0);  // fires; the slot returns to the freelist
-  sim.schedule(3.0, [&] { ++second; });  // recycles the slot
-  EXPECT_FALSE(sim.cancel(id));          // stale generation
-  sim.run_until(4.0);
-  EXPECT_EQ(first, 1);
-  EXPECT_EQ(second, 1);
-}
-
 TEST(Simulator, ArenaRecyclesSlotsAcrossManyEvents) {
   // Thousands of sequential events must not grow the arena beyond the
   // peak number simultaneously pending.

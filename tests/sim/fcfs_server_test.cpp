@@ -50,8 +50,6 @@ TEST(FcfsServer, QueueLengthTracksBacklog) {
   EXPECT_EQ(server.queue_length(), 1u);
   sim.run_until(20.0);
   EXPECT_EQ(server.queue_length(), 0u);
-  // Time-averaged queue: 2 over [0,4), 1 over [4,8): (8+4)/20 = 0.6.
-  EXPECT_NEAR(server.mean_queue_length(), 0.6, 1e-12);
 }
 
 TEST(FcfsServer, ZeroServiceJobsComplete) {
@@ -118,19 +116,17 @@ TEST(FcfsServer, DisabledStatTrackingThrowsOnReadOnly) {
   EXPECT_EQ(done, 1);                              // service still runs
   EXPECT_EQ(server.completions(), 1u);             // counters stay on
   EXPECT_NEAR(server.utilization(), 0.2, 1e-12);   // tracked
-  EXPECT_THROW(static_cast<void>(server.mean_queue_length()), InvalidArgument);
   EXPECT_THROW(static_cast<void>(server.mean_residence()), InvalidArgument);
 }
 
 TEST(FcfsServer, TrackingMasksCompose) {
+  // kAll carries both the busy and the residence bit.
   Simulator sim;
-  FcfsServer server(sim, "s", 1,
-                    StatTracking::kBusy | StatTracking::kResidence);
+  FcfsServer server(sim, "s", 1, StatTracking::kAll);
   server.submit(4.0, nullptr);
   sim.run_until(10.0);
   EXPECT_NEAR(server.utilization(), 0.4, 1e-12);
   EXPECT_NEAR(server.mean_residence(), 4.0, 1e-12);
-  EXPECT_THROW(static_cast<void>(server.mean_queue_length()), InvalidArgument);
 }
 
 /// Trivially-copyable Poisson arrival source (event actions live in
@@ -173,8 +169,6 @@ TEST(FcfsServer, MM1QueueMatchesTheory) {
   EXPECT_NEAR(server.utilization(), 0.5, 0.02);
   // M/M/1 residence: 1 / (mu - lambda) = 2.
   EXPECT_NEAR(server.mean_residence(), 2.0, 0.1);
-  // Little: N = lambda * W = 1.
-  EXPECT_NEAR(server.mean_queue_length(), 1.0, 0.06);
 }
 
 }  // namespace

@@ -15,10 +15,13 @@ TEST(PetriNet, StructureAccessors) {
   net.add_input(t, p);
   EXPECT_EQ(net.num_places(), 1u);
   EXPECT_EQ(net.num_transitions(), 1u);
-  EXPECT_EQ(net.place_name(p), "p");
-  EXPECT_EQ(net.transition_name(t), "t");
-  EXPECT_EQ(net.initial_tokens(p), 3);
   EXPECT_NO_THROW(net.validate());
+  const CompiledPetriNet compiled(net);
+  EXPECT_EQ(compiled.num_places(), 1u);
+  EXPECT_EQ(compiled.num_transitions(), 1u);
+  EXPECT_EQ(compiled.place_name(p), "p");
+  PetriSimulator sim(compiled, 1);
+  EXPECT_EQ(sim.tokens(p), 3);
 }
 
 TEST(PetriNet, ValidationCatchesProblems) {
@@ -58,7 +61,8 @@ TwoPlaceNet oscillator(double mean_ab, double mean_ba, long tokens) {
 
 TEST(PetriSimulator, ConservesTokens) {
   auto o = oscillator(1.0, 2.0, 5);
-  PetriSimulator sim(o.net, 1);
+  const CompiledPetriNet compiled(o.net);
+  PetriSimulator sim(compiled, 1);
   const PetriStats stats = sim.run(1000.0, 100.0);
   EXPECT_EQ(sim.tokens(o.a) + sim.tokens(o.b), 5);
   EXPECT_NEAR(stats.mean_tokens[o.a] + stats.mean_tokens[o.b], 5.0, 1e-9);
@@ -66,7 +70,8 @@ TEST(PetriSimulator, ConservesTokens) {
 
 TEST(PetriSimulator, FlowBalanceAtSteadyState) {
   auto o = oscillator(1.0, 2.0, 3);
-  PetriSimulator sim(o.net, 7);
+  const CompiledPetriNet compiled(o.net);
+  PetriSimulator sim(compiled, 7);
   const PetriStats stats = sim.run(50000.0, 5000.0);
   // In a closed cycle both transitions fire at (asymptotically) the same
   // rate.
@@ -79,7 +84,8 @@ TEST(PetriSimulator, SingleServerRateMatchesCyclicQueue) {
   // customer behaves like alternating exp(2) / exp(3) stages:
   // cycle rate = 1/5.
   auto o = oscillator(2.0, 3.0, 1);
-  PetriSimulator sim(o.net, 3);
+  const CompiledPetriNet compiled(o.net);
+  PetriSimulator sim(compiled, 3);
   const PetriStats stats = sim.run(200000.0, 10000.0);
   EXPECT_NEAR(stats.firing_rate[o.ab], 0.2, 0.01);
   // Mean tokens in `a` = fraction of time in stage a = 2/5.
@@ -95,7 +101,8 @@ TEST(PetriSimulator, MultiTokenPlaceStillServesOneAtATime) {
       net.add_transition("serve", TransitionTiming::kExponential, 2.0);
   net.add_input(t, a);
   net.add_output(t, a);  // tokens come straight back: always saturated
-  PetriSimulator sim(net, 5);
+  const CompiledPetriNet compiled(net);
+  PetriSimulator sim(compiled, 5);
   const PetriStats stats = sim.run(100000.0, 1000.0);
   EXPECT_NEAR(stats.firing_rate[t], 0.5, 0.01);
 }
@@ -107,7 +114,8 @@ TEST(PetriSimulator, DeterministicTransitionFiresOnSchedule) {
       net.add_transition("tick", TransitionTiming::kDeterministic, 10.0);
   net.add_input(t, a);
   net.add_output(t, a);
-  PetriSimulator sim(net, 1);
+  const CompiledPetriNet compiled(net);
+  PetriSimulator sim(compiled, 1);
   const PetriStats stats = sim.run(1000.0, 0.0);
   EXPECT_EQ(stats.firings[t], 100u);
 }
@@ -138,7 +146,8 @@ TEST(PetriSimulator, ImmediateRoutingSplitsByWeight) {
     net.add_input(back, from);
     net.add_output(back, src);
   }
-  PetriSimulator sim(net, 11);
+  const CompiledPetriNet compiled(net);
+  PetriSimulator sim(compiled, 11);
   const PetriStats stats = sim.run(100000.0, 1000.0);
   const double total = stats.firing_rate[to_x] + stats.firing_rate[to_y];
   EXPECT_NEAR(stats.firing_rate[to_x] / total, 0.25, 0.02);
@@ -167,7 +176,8 @@ TEST(PetriSimulator, SeizeServePatternQueuesContenders) {
     net.add_output(serve, wait);  // recycle customers: always saturated
     serves.push_back(serve);
   }
-  PetriSimulator sim(net, 23);
+  const CompiledPetriNet compiled(net);
+  PetriSimulator sim(compiled, 23);
   const PetriStats stats = sim.run(200000.0, 10000.0);
   const double total = stats.firing_rate[serves[0]] + stats.firing_rate[serves[1]];
   EXPECT_NEAR(total, 0.25, 0.01);  // one server of mean 4
@@ -179,17 +189,19 @@ TEST(PetriSimulator, SeizeServePatternQueuesContenders) {
 TEST(PetriSimulator, DeterministicSeedReproducibility) {
   auto o1 = oscillator(1.0, 2.0, 4);
   auto o2 = oscillator(1.0, 2.0, 4);
-  const PetriStats a = PetriSimulator(o1.net, 99).run(5000.0, 500.0);
-  const PetriStats b = PetriSimulator(o2.net, 99).run(5000.0, 500.0);
+  const CompiledPetriNet c1(o1.net), c2(o2.net);
+  const PetriStats a = PetriSimulator(c1, 99).run(5000.0, 500.0);
+  const PetriStats b = PetriSimulator(c2, 99).run(5000.0, 500.0);
   EXPECT_EQ(a.firings, b.firings);
   EXPECT_EQ(a.total_firings, b.total_firings);
 }
 
 TEST(PetriSimulator, RejectsBadRunParameters) {
   auto o = oscillator(1.0, 1.0, 1);
-  PetriSimulator sim(o.net, 1);
+  const CompiledPetriNet compiled(o.net);
+  PetriSimulator sim(compiled, 1);
   EXPECT_THROW((void)sim.run(0.0, 0.0), InvalidArgument);
-  PetriSimulator sim2(o.net, 1);
+  PetriSimulator sim2(compiled, 1);
   EXPECT_THROW((void)sim2.run(10.0, 10.0), InvalidArgument);
 }
 
@@ -221,7 +233,8 @@ TEST(PetriSimulator, MultiTokenServerPool) {
     net.add_output(serve, wait);
     serves.push_back(serve);
   }
-  PetriSimulator sim(net, 31);
+  const CompiledPetriNet compiled(net);
+  PetriSimulator sim(compiled, 31);
   const PetriStats stats = sim.run(200000.0, 10000.0);
   const double combined =
       stats.firing_rate[serves[0]] + stats.firing_rate[serves[1]];
@@ -246,7 +259,8 @@ TEST(PetriSimulator, MixedDeterministicAndExponential) {
       net.add_transition("exp", TransitionTiming::kExponential, 5.0);
   net.add_input(expo, b);
   net.add_output(expo, a);
-  PetriSimulator sim(net, 17);
+  const CompiledPetriNet compiled(net);
+  PetriSimulator sim(compiled, 17);
   const PetriStats stats = sim.run(300000.0, 10000.0);
   EXPECT_NEAR(stats.firing_rate[det], 1.0 / 15.0, 0.002);
   // Fraction of time in the deterministic stage: 10/15.
@@ -260,7 +274,8 @@ TEST(PetriSimulator, WarmupDiscardsEarlyFirings) {
       net.add_transition("tick", TransitionTiming::kDeterministic, 10.0);
   net.add_input(t, a);
   net.add_output(t, a);
-  PetriSimulator sim(net, 1);
+  const CompiledPetriNet compiled(net);
+  PetriSimulator sim(compiled, 1);
   // Ticks at t = 10, 20, ..., 1000. The statistics reset happens when the
   // clock first reaches the warmup point, so the t = 500 firing is counted
   // post-warmup: 51 of the 100 total firings are observed.
@@ -278,7 +293,8 @@ TEST(PetriSimulator, DeadNetStopsEarly) {
       net.add_transition("once", TransitionTiming::kExponential, 1.0);
   net.add_input(t, a);
   net.add_output(t, b);
-  PetriSimulator sim(net, 1);
+  const CompiledPetriNet compiled(net);
+  PetriSimulator sim(compiled, 1);
   const PetriStats stats = sim.run(1000.0, 0.0);
   EXPECT_EQ(stats.firings[t], 1u);
   EXPECT_EQ(sim.tokens(b), 1);

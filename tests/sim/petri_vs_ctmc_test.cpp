@@ -58,7 +58,8 @@ TEST_P(PetriVsCtmc, ThroughputAndQueueLengthsAgree) {
   DualModel dm = build(n, 4.0, sb);
   const auto truth = qn::solve_ctmc(dm.net, dm.routed);
 
-  PetriSimulator sim(dm.petri, 20260707);
+  const CompiledPetriNet compiled(dm.petri);
+  PetriSimulator sim(compiled, 20260707);
   const PetriStats stats = sim.run(300000.0, 30000.0);
 
   EXPECT_NEAR(stats.firing_rate[dm.serve_a], truth.throughput[0],

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <vector>
 
-#include "qn/open/open_network.hpp"
 #include "util/error.hpp"
 
 namespace latol::sim {
@@ -101,50 +100,6 @@ TEST(Replication, PetriSharedCompileMatchesPerSeedBuilds) {
     EXPECT_EQ(std::memcmp(&run.runs[i], &solo, sizeof solo), 0)
         << "shared-compile replication " << i
         << " differs from the build-per-seed run";
-  }
-}
-
-qn::OpenNetwork tiny_open_network() {
-  qn::OpenNetwork net({{"cpu", qn::StationKind::kQueueing},
-                       {"disk", qn::StationKind::kQueueing}},
-                      1);
-  net.set_arrival_rate(0, 0.3);
-  net.set_service_time(0, 0, 1.0);
-  net.set_service_time(0, 1, 0.5);
-  net.set_entry(0, 0, 1.0);
-  net.set_routing(0, 0, 1, 0.5);  // cpu -> disk half the time
-  net.set_routing(0, 1, 0, 0.2);  // disk -> cpu rework
-  net.solve_traffic_equations();
-  return net;
-}
-
-TEST(Replication, OpenDesBitwiseIdenticalAcrossWorkerCounts) {
-  const qn::OpenNetwork net = tiny_open_network();
-  OpenSimulationConfig base;
-  base.sim_time = 5000.0;
-  base.seed = 5;
-  ReplicationPlan plan;
-  plan.max_reps = 4;
-  ReplicationRun<OpenSimulationResult> runs[3];
-  const std::size_t workers[3] = {1, 2, 8};
-  for (int w = 0; w < 3; ++w) {
-    plan.workers = workers[w];
-    runs[w] = replicate_open(net, base, plan);
-    ASSERT_EQ(runs[w].runs.size(), 4u);
-  }
-  // OpenSimulationResult holds vectors; compare field by field.
-  for (int w = 1; w < 3; ++w) {
-    for (std::size_t i = 0; i < 4; ++i) {
-      const auto& a = runs[0].runs[i];
-      const auto& b = runs[w].runs[i];
-      EXPECT_EQ(a.response_time, b.response_time);
-      EXPECT_EQ(a.utilization, b.utilization);
-      EXPECT_EQ(a.residence, b.residence);
-      EXPECT_EQ(a.completions, b.completions);
-      EXPECT_EQ(a.events, b.events);
-      EXPECT_EQ(a.rng_draws, b.rng_draws);
-      EXPECT_EQ(a.seed, b.seed);
-    }
   }
 }
 

@@ -42,14 +42,6 @@ TEST(TimeAverage, IntegratesPiecewiseConstantSignal) {
   EXPECT_NEAR(a.mean(10.0), 1.8, 1e-12);
 }
 
-TEST(TimeAverage, AddAdjustsValue) {
-  TimeAverage a(0.0, 2.0);
-  a.add(4.0, +1.0);
-  EXPECT_DOUBLE_EQ(a.value(), 3.0);
-  // mean over [0,8]: (2*4 + 3*4)/8 = 2.5.
-  EXPECT_NEAR(a.mean(8.0), 2.5, 1e-12);
-}
-
 TEST(TimeAverage, ResetRestartsIntegration) {
   TimeAverage a(0.0, 5.0);
   a.set(10.0, 1.0);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace latol::topo {
@@ -18,6 +20,28 @@ TEST(GeometricAverageDistance, ApproachesClosedFormLimit) {
   // d_max -> infinity: d_avg -> 1 / (1 - p_sw).
   EXPECT_NEAR(geometric_average_distance(200, 0.5), 2.0, 1e-6);
   EXPECT_NEAR(geometric_average_distance(200, 0.2), 1.25, 1e-6);
+}
+
+TEST(GeometricAverageDistance, MatchesDistributionOnVertexTransitiveTopologies) {
+  // The closed form is the oracle for RemoteAccessDistribution's
+  // distance-class tabulation wherever every node sees the same profile.
+  const std::pair<TopologyKind, int> machines[] = {
+      {TopologyKind::kTorus2D, 4}, {TopologyKind::kTorus2D, 5},
+      {TopologyKind::kTorus2D, 8}, {TopologyKind::kRing, 16},
+      {TopologyKind::kHypercube, 5}};
+  for (const auto& [kind, side] : machines) {
+    const auto topology = make_topology(kind, side);
+    ASSERT_TRUE(topology->is_vertex_transitive());
+    for (const double p_sw : {0.2, 0.5, 0.8}) {
+      TrafficConfig cfg;
+      cfg.p_sw = p_sw;
+      const RemoteAccessDistribution dist(*topology, cfg);
+      const double expected =
+          geometric_average_distance(topology->max_distance(), p_sw);
+      EXPECT_NEAR(dist.average_distance(), expected, 1e-12 * expected)
+          << topology_kind_name(kind) << ' ' << side << " p_sw=" << p_sw;
+    }
+  }
 }
 
 TEST(GeometricAverageDistance, ValidatesInputs) {

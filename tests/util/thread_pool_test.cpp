@@ -27,10 +27,11 @@ TEST(ThreadPool, RejectsEmptyTask) {
 }
 
 TEST(ThreadPool, ExecutesSubmittedTasks) {
-  ThreadPool pool(2);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ++counter; });
-  pool.wait_idle();
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 100; ++i) pool.submit([&] { ++counter; });
+  }  // the destructor drains the queue before joining
   EXPECT_EQ(counter.load(), 100);
 }
 
