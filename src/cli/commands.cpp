@@ -218,15 +218,7 @@ int cmd_analyze(const CliOptions& opts, std::ostream& out) {
   }
   if (!opts.metrics_path.empty()) {
     io::Json point = io::Json::object();
-    point.set("solver", qn::solver_kind_name(perf.solver));
-    point.set("converged", perf.converged);
-    point.set("degraded", perf.degraded);
-    point.set("iterations", static_cast<double>(perf.solver_iterations));
-    point.set("residual", perf.residual);
-    point.set("residual_history_length",
-              static_cast<double>(perf.residual_history.size()));
-    point.set("littles_law_error", perf.littles_law_error);
-    point.set("flow_balance_error", perf.flow_balance_error);
+    exp::set_point_diagnostics(point, perf, false, perf.degraded);
     point.set("wall_seconds", robust ? robust->report.wall_seconds : 0.0);
     io::Json warnings = io::Json::array();
     if (robust) {
@@ -296,29 +288,25 @@ int cmd_sweep(const CliOptions& opts, std::ostream& out) {
   // and rethrown in step order before anything is printed, preserving the
   // serial loop's failure behavior and exit codes.
   struct SweepStep {
-    double x = 0.0;
     core::ToleranceResult t;
     std::exception_ptr error;
   };
-  std::vector<SweepStep> steps(static_cast<std::size_t>(opts.sweep_steps));
+  const exp::ConfigField& axis = exp::axis_field(opts.sweep_param);
+  const std::vector<double> xs =
+      exp::range_values(opts.sweep_from, opts.sweep_to, opts.sweep_steps);
+  std::vector<SweepStep> steps(xs.size());
   util::parallel_for(
       steps.size(),
       [&](std::size_t s) {
         SweepStep& step = steps[s];
-        step.x = opts.sweep_steps == 1
-                     ? opts.sweep_from
-                     : opts.sweep_from +
-                           (opts.sweep_to - opts.sweep_from) *
-                               static_cast<double>(s) / (opts.sweep_steps - 1);
         try {
           core::MmsConfig cfg = opts.config;
           // Integral parameters keep the historical sweep behavior of
           // truncating fractional grid values (a 1..8 sweep in 9 steps must
           // still work).
-          exp::apply_parameter(cfg, opts.sweep_param,
-                               exp::parameter_is_integral(opts.sweep_param)
-                                   ? std::trunc(step.x)
-                                   : step.x);
+          axis.set(cfg, axis.kind == exp::FieldKind::kInteger
+                            ? std::trunc(xs[s])
+                            : xs[s]);
           step.t = core::tolerance_index(cfg, core::Subsystem::kNetwork, amva);
         } catch (...) {
           step.error = std::current_exception();
@@ -333,9 +321,8 @@ int cmd_sweep(const CliOptions& opts, std::ostream& out) {
   io::Json trace_points = io::Json::array();
   int degraded = 0;
   for (int s = 0; s < opts.sweep_steps; ++s) {
-    const SweepStep& step = steps[static_cast<std::size_t>(s)];
-    const double x = step.x;
-    const core::ToleranceResult& t = step.t;
+    const double x = xs[static_cast<std::size_t>(s)];
+    const core::ToleranceResult& t = steps[static_cast<std::size_t>(s)].t;
     // Shared health predicate (DESIGN.md §7/§9): a sweep point is clean
     // only when both the actual and the ideal solve are.
     const bool clean =
@@ -355,15 +342,7 @@ int cmd_sweep(const CliOptions& opts, std::ostream& out) {
       io::Json p = io::Json::object();
       p.set("index", static_cast<double>(s));
       p.set(opts.sweep_param, x);
-      p.set("solver", qn::solver_kind_name(t.actual.solver));
-      p.set("converged", t.actual.converged);
-      p.set("degraded", !clean);
-      p.set("iterations", static_cast<double>(t.actual.solver_iterations));
-      p.set("residual", t.actual.residual);
-      p.set("residual_history_length",
-            static_cast<double>(t.actual.residual_history.size()));
-      p.set("littles_law_error", t.actual.littles_law_error);
-      p.set("flow_balance_error", t.actual.flow_balance_error);
+      exp::set_point_diagnostics(p, t.actual, false, !clean);
       metric_points.push_back(std::move(p));
     }
     if (!opts.trace_path.empty()) {

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/parameter.hpp"
@@ -37,28 +38,22 @@ int parse_int(const std::string& flag, const std::string& value) {
   return out;
 }
 
-topo::TopologyKind parse_topology(const std::string& value) {
-  if (value == "torus") return topo::TopologyKind::kTorus2D;
-  if (value == "mesh") return topo::TopologyKind::kMesh2D;
-  if (value == "ring") return topo::TopologyKind::kRing;
-  if (value == "hypercube") return topo::TopologyKind::kHypercube;
-  throw InvalidArgument("unknown topology `" + value +
-                        "` (torus|mesh|ring|hypercube)");
+/// `text` padded with spaces to `width` display columns, or by one space
+/// when it is wider (UTF-8 continuation bytes take no column).
+std::string pad(std::string_view text, std::size_t width) {
+  const auto columns = static_cast<std::size_t>(std::count_if(
+      text.begin(), text.end(), [](char c) { return (c & 0xC0) != 0x80; }));
+  std::string out(text);
+  out.append(columns < width ? width - columns : 1, ' ');
+  return out;
 }
 
-topo::AccessPattern parse_pattern(const std::string& value) {
-  if (value == "geometric") return topo::AccessPattern::kGeometric;
-  if (value == "uniform") return topo::AccessPattern::kUniform;
-  throw InvalidArgument("unknown pattern `" + value +
-                        "` (geometric|uniform)");
-}
-
-core::SolveMethod parse_solver(const std::string& value) {
-  if (value == "amva") return core::SolveMethod::kAmva;
-  if (value == "linearizer") return core::SolveMethod::kLinearizer;
-  if (value == "fesc") return core::SolveMethod::kHierarchical;
-  throw InvalidArgument("unknown solver `" + value +
-                        "` (amva|linearizer|fesc)");
+/// The row whose flag is `flag`, or nullptr.
+const exp::ConfigField* find_flag(const std::string& flag) {
+  for (const exp::ConfigField& f : exp::config_fields()) {
+    if (f.flag != nullptr && flag == f.flag) return &f;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -77,6 +72,13 @@ CliOptions parse_command_line(const std::vector<std::string>& args) {
   if (!known) {
     throw InvalidArgument("unknown command `" + opts.command + "`\n" +
                           usage());
+  }
+  // `latol <command> --help` is `latol help`.
+  if (std::any_of(args.begin() + 1, args.end(), [](const std::string& a) {
+        return a == "--help" || a == "-h";
+      })) {
+    opts.command = "help";
+    return opts;
   }
 
   for (std::size_t i = 1; i < args.size(); ++i) {
@@ -152,38 +154,24 @@ CliOptions parse_command_line(const std::vector<std::string>& args) {
       LATOL_REQUIRE(opts.command == "profile",
                     "--diff only applies to `latol profile`");
       opts.profile_diff = true;
-    } else if (flag == "--k") {
-      opts.config.k = parse_int(flag, value());
-    } else if (flag == "--topology") {
-      opts.config.topology = parse_topology(value());
-    } else if (flag == "--threads") {
-      opts.config.threads_per_processor = parse_int(flag, value());
-    } else if (flag == "--runlength") {
-      opts.config.runlength = parse_double(flag, value());
-    } else if (flag == "--context-switch") {
-      opts.config.context_switch = parse_double(flag, value());
-    } else if (flag == "--p-remote") {
-      opts.config.p_remote = parse_double(flag, value());
-    } else if (flag == "--p-sw") {
-      opts.config.traffic.p_sw = parse_double(flag, value());
-    } else if (flag == "--pattern") {
-      opts.config.traffic.pattern = parse_pattern(value());
-    } else if (flag == "--memory-latency") {
-      opts.config.memory_latency = parse_double(flag, value());
-    } else if (flag == "--switch-delay") {
-      opts.config.switch_delay = parse_double(flag, value());
-    } else if (flag == "--hotspot-node") {
-      opts.config.traffic.hotspot_node = parse_int(flag, value());
-    } else if (flag == "--hotspot-fraction") {
-      opts.config.traffic.hotspot_fraction = parse_double(flag, value());
-    } else if (flag == "--open-arrival") {
-      opts.config.open_arrival_rate = parse_double(flag, value());
+    } else if (const exp::ConfigField* field = find_flag(flag)) {
+      double v = 1.0;  // a bool flag takes no value and sets true
+      switch (field->kind) {
+        case exp::FieldKind::kNumber:
+          v = parse_double(flag, value());
+          break;
+        case exp::FieldKind::kInteger:
+          v = parse_int(flag, value());
+          break;
+        case exp::FieldKind::kChoice:
+          v = exp::choice_value(*field, value());
+          break;
+        case exp::FieldKind::kBool:
+          break;
+      }
+      field->set(opts.config, v);
     } else if (flag == "--solver") {
-      opts.method = parse_solver(value());
-    } else if (flag == "--memory-ports") {
-      opts.config.memory_ports = parse_int(flag, value());
-    } else if (flag == "--pipelined-switches") {
-      opts.config.pipelined_switches = true;
+      opts.method = core::parse_solve_method(value());
     } else if (flag == "--max-iterations") {
       opts.amva.max_iterations = parse_int(flag, value());
       LATOL_REQUIRE(opts.amva.max_iterations >= 1,
@@ -251,34 +239,42 @@ std::string usage() {
         "              admission control, request deadlines, and graceful\n"
         "              drain (DESIGN.md §11)\n"
         "  help        this text\n\n"
-        "machine/workload flags (defaults = paper Table 1):\n"
-        "  --k N                 size parameter (torus/mesh side, ring size,\n"
-        "                        hypercube dimension)        [4]\n"
-        "  --topology T          torus|mesh|ring|hypercube   [torus]\n"
-        "  --threads N           threads per processor n_t   [8]\n"
-        "  --runlength R         mean thread runlength       [10]\n"
-        "  --context-switch C    switch overhead             [0]\n"
-        "  --p-remote P          remote access probability   [0.2]\n"
-        "  --pattern X           geometric|uniform           [geometric]\n"
-        "  --p-sw X              geometric locality factor   [0.5]\n"
-        "  --memory-latency L    memory access time          [10]\n"
-        "  --switch-delay S      per-switch routing time     [10]\n"
-        "  --hotspot-node N      redirect traffic to node N  [off]\n"
-        "  --hotspot-fraction F  redirected fraction         [0]\n"
-        "  --memory-ports N      servers per memory module   [1]\n"
-        "  --pipelined-switches  switches as pure delays     [off]\n"
-        "  --open-arrival F      per-node Poisson rate of background open\n"
-        "                        remote requests (mixed open/closed solve;\n"
-        "                        DESIGN.md §12)               [0]\n"
-        "  --solver X            amva|linearizer|fesc        [amva]\n"
+        "machine/workload flags (defaults = paper Table 1):\n";
+  // One entry per row of the field table with a flag; the default shown
+  // is the one the parser starts from.
+  const CliOptions defaults;
+  for (const exp::ConfigField& f : exp::config_fields()) {
+    if (f.flag == nullptr) continue;
+    std::string spec = f.flag;
+    if (f.metavar != nullptr) (spec += ' ') += f.metavar;
+    std::string shown;
+    if (f.kind == exp::FieldKind::kBool) {
+      shown = f.get(defaults.config) != 0.0 ? "on" : "off";
+    } else {
+      exp::append_value(shown, f, defaults.config);
+    }
+    const std::string help =
+        f.help != nullptr ? f.help : exp::choice_names(f);
+    std::string_view rest = help;
+    os << "  " << pad(spec, 22);
+    for (std::size_t nl; (nl = rest.find('\n')) != std::string_view::npos;
+         rest.remove_prefix(nl + 1)) {
+      os << rest.substr(0, nl) << '\n' << std::string(24, ' ');
+    }
+    os << pad(rest, 28) << '[' << shown << "]\n";
+  }
+  os << "  --solver X            amva|linearizer|fesc        [amva]\n"
         "  --max-iterations N    AMVA iteration budget       [200000]\n\n"
         "sweep flags:\n";
-  // The --param axes come from the sweep parameter table, so the help
-  // names every axis the sweep accepts.
-  const std::vector<std::string>& names = exp::parameter_names();
+  // The --param axes come from the field table, so the help names every
+  // axis the sweep accepts.
+  std::vector<std::string> axes;
+  for (const exp::ConfigField& f : exp::config_fields()) {
+    if (f.is_axis()) axes.emplace_back(f.name);
+  }
   std::string line = "  --param X   ";
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const std::string item = names[i] + (i + 1 < names.size() ? "|" : "");
+  for (std::size_t i = 0; i < axes.size(); ++i) {
+    const std::string item = axes[i] + (i + 1 < axes.size() ? "|" : "");
     if (line.size() + item.size() > 53) {
       os << line << '\n';
       line = std::string(14, ' ');
@@ -286,7 +282,7 @@ std::string usage() {
     line += item;
   }
   line.resize(std::max<std::size_t>(line.size() + 1, 52), ' ');
-  os << line << "[p_remote]\n"
+  os << line << '[' << defaults.sweep_param << "]\n"
         "  --from A --to B --steps N                         [0 0.8 9]\n"
         "  --jobs N    parallel sweep workers (0 = shared pool sized to\n"
         "              the hardware); output is byte-identical for every\n"

@@ -32,7 +32,9 @@ struct CliOptions {
   core::SolveMethod method = core::SolveMethod::kAmva;
 
   // --- sweep ---
-  std::string sweep_param = "p_remote";  ///< p_remote|threads|runlength|switch_delay|memory_latency|k
+  /// --param X: an axis row of exp::config_fields(), by name or alias
+  /// (`latol help` lists them).
+  std::string sweep_param = "p_remote";
   double sweep_from = 0.0;
   double sweep_to = 0.8;
   int sweep_steps = 9;

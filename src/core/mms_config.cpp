@@ -64,19 +64,6 @@ void MmsConfig::validate() const {
   }
 }
 
-MmsConfig MmsConfig::paper_defaults() {
-  MmsConfig c;
-  c.k = 4;
-  c.memory_latency = 10.0;
-  c.switch_delay = 10.0;
-  c.threads_per_processor = 8;
-  c.runlength = 10.0;
-  c.context_switch = 0.0;
-  c.p_remote = 0.2;
-  c.traffic.pattern = topo::AccessPattern::kGeometric;
-  c.traffic.p_sw = 0.5;
-  c.traffic.mode = topo::GeometricMode::kDistanceClass;
-  return c;
-}
+MmsConfig MmsConfig::paper_defaults() { return {}; }
 
 }  // namespace latol::core

@@ -61,8 +61,9 @@ struct MmsConfig {
   /// probabilities outside [0,1], remote accesses on a 1-node machine...).
   void validate() const;
 
-  /// The paper's Table 1 defaults: k=4, n_t=8, R=10, p_remote=0.2,
-  /// p_sw=0.5 (geometric, d_avg=1.733), L=10, S=10, C=0.
+  /// The paper's Table 1 defaults, which are the member initializers
+  /// above: k=4, n_t=8, R=10, p_remote=0.2, p_sw=0.5 (geometric,
+  /// d_avg=1.733), L=10, S=10, C=0.
   [[nodiscard]] static MmsConfig paper_defaults();
 };
 

@@ -336,6 +336,15 @@ const char* solve_method_name(SolveMethod method) {
   return "?";
 }
 
+SolveMethod parse_solve_method(std::string_view name) {
+  for (const SolveMethod m : {SolveMethod::kAmva, SolveMethod::kLinearizer,
+                              SolveMethod::kHierarchical}) {
+    if (name == solve_method_name(m)) return m;
+  }
+  throw InvalidArgument("unknown solver `" + std::string(name) +
+                        "` (amva|linearizer|fesc)");
+}
+
 MmsPerformance analyze(const MmsConfig& config,
                        const AnalysisOptions& options) {
   if (options.method == SolveMethod::kHierarchical) {

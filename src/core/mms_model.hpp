@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/mms_config.hpp"
@@ -134,6 +135,10 @@ enum class SolveMethod {
 /// Stable lowercase identifier ("amva", "linearizer", "fesc") used in
 /// scenario files and cache keys.
 [[nodiscard]] const char* solve_method_name(SolveMethod method);
+
+/// Inverse of solve_method_name; throws InvalidArgument "unknown solver
+/// `name` (amva|linearizer|fesc)" for any other name.
+[[nodiscard]] SolveMethod parse_solve_method(std::string_view name);
 
 /// Knobs for the analyze() overload with solver selection.
 struct AnalysisOptions {

@@ -358,19 +358,13 @@ struct Cell {
 
 Cell cell_value(const std::string& column, const core::MmsConfig& cfg,
                 const PointResult& p) {
-  if (is_parameter(column)) return Cell::num(read_parameter(cfg, column));
+  if (const ConfigField* field = find_axis(column)) {
+    return Cell::num(field->get(cfg));
+  }
   const core::MmsPerformance& perf = p.model.perf;
-  if (column == "U_p") return Cell::num(perf.processor_utilization);
-  if (column == "lambda") return Cell::num(perf.access_rate);
-  if (column == "lambda_net") return Cell::num(perf.message_rate);
-  if (column == "S_obs") return Cell::num(perf.network_latency);
-  if (column == "L_obs") return Cell::num(perf.memory_latency);
-  if (column == "mem_util") return Cell::num(perf.memory_utilization);
-  if (column == "switch_util") return Cell::num(perf.switch_utilization);
-  if (column == "d_avg") return Cell::num(perf.average_distance);
-  if (column == "open_latency") return Cell::num(perf.open_latency);
-  if (column == "open_util") return Cell::num(perf.open_utilization);
-  if (column == "residual") return Cell::num(perf.residual);
+  if (const Measure* m = find_measure(column)) {
+    return Cell::num(perf.*m->member);
+  }
   if (column == "iterations") {
     return Cell::num(static_cast<double>(perf.solver_iterations));
   }
@@ -749,7 +743,7 @@ io::Json manifest_to_json(const Scenario& scenario, const RunStats& st) {
     io::Json a = io::Json::object();
     io::Json params = io::Json::array();
     for (const AxisComponent& comp : axis.components) {
-      params.push_back(comp.param);
+      params.push_back(comp.field->name);
     }
     a.set("params", std::move(params));
     a.set("points", axis.size());
@@ -789,6 +783,19 @@ io::Json manifest_to_json(const Scenario& scenario, const RunStats& st) {
     doc.set("validation", std::move(v));
   }
   return doc;
+}
+
+void set_point_diagnostics(io::Json& point, const core::MmsPerformance& perf,
+                           bool failed, bool degraded) {
+  point.set("solver", failed ? "error" : qn::solver_kind_name(perf.solver));
+  point.set("converged", qn::solve_converged(failed, perf.converged));
+  point.set("degraded", degraded);
+  point.set("iterations", static_cast<double>(perf.solver_iterations));
+  point.set("residual", perf.residual);
+  point.set("residual_history_length",
+            static_cast<double>(perf.residual_history.size()));
+  point.set("littles_law_error", perf.littles_law_error);
+  point.set("flow_balance_error", perf.flow_balance_error);
 }
 
 io::Json snapshot_to_json(const obs::Snapshot& snapshot) {
@@ -862,16 +869,8 @@ io::Json metrics_to_json(const Scenario& scenario, const RunResult& run,
     const bool has_error = p.model.error.has_value();
     io::Json pt = io::Json::object();
     pt.set("index", static_cast<double>(i));
-    pt.set("solver", has_error ? io::Json("error")
-                               : io::Json(qn::solver_kind_name(perf.solver)));
-    pt.set("converged", qn::solve_converged(has_error, perf.converged));
-    pt.set("degraded", !has_error && (perf.degraded || p.ideal_degraded));
-    pt.set("iterations", static_cast<double>(perf.solver_iterations));
-    pt.set("residual", perf.residual);
-    pt.set("residual_history_length",
-           static_cast<double>(perf.residual_history.size()));
-    pt.set("littles_law_error", perf.littles_law_error);
-    pt.set("flow_balance_error", perf.flow_balance_error);
+    set_point_diagnostics(pt, perf, has_error,
+                          !has_error && (perf.degraded || p.ideal_degraded));
     pt.set("cache_hit", p.cache_hit);
     points.push_back(std::move(pt));
 

@@ -199,6 +199,14 @@ void write_results_csv(const Scenario& scenario, const RunResult& run,
                                        const RunResult& run,
                                        const obs::Snapshot* registry = nullptr);
 
+/// Set one point's solver diagnostics on `point`: the keys every metrics
+/// document (`latol analyze`, `sweep`, `run`, `profile`) shares per point,
+/// in this order: solver ("error" when `failed`), converged, degraded,
+/// iterations, residual, residual_history_length, littles_law_error,
+/// flow_balance_error.
+void set_point_diagnostics(io::Json& point, const core::MmsPerformance& perf,
+                           bool failed, bool degraded);
+
 /// Render a registry snapshot as {"counters": {...}, "gauges": {...},
 /// "timers": {name: {"seconds", "count"}}} (slot-creation order).
 [[nodiscard]] io::Json snapshot_to_json(const obs::Snapshot& snapshot);

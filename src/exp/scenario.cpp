@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
-#include "exp/parameter.hpp"
 #include "util/error.hpp"
 
 namespace latol::exp {
@@ -69,30 +69,17 @@ const std::string& get_string(const io::Json& v, const std::string& context) {
   return v.as_string();
 }
 
+/// True when `d` is a whole number an int holds; converting any other
+/// double to int is undefined.
+bool is_int(double d) {
+  return std::floor(d) == d && d >= std::numeric_limits<int>::min() &&
+         d <= std::numeric_limits<int>::max();
+}
+
 int get_int(const io::Json& v, const std::string& context) {
   const double d = get_number(v, context);
-  if (std::floor(d) != d) schema_error(context, "expected an integer");
+  if (!is_int(d)) schema_error(context, "expected an integer");
   return static_cast<int>(d);
-}
-
-// --- enum string forms ----------------------------------------------------
-
-topo::TopologyKind parse_topology(const std::string& value,
-                                  const std::string& context) {
-  if (value == "torus") return topo::TopologyKind::kTorus2D;
-  if (value == "mesh") return topo::TopologyKind::kMesh2D;
-  if (value == "ring") return topo::TopologyKind::kRing;
-  if (value == "hypercube") return topo::TopologyKind::kHypercube;
-  schema_error(context, "unknown topology `" + value +
-                            "` (torus|mesh|ring|hypercube)");
-}
-
-topo::AccessPattern parse_pattern(const std::string& value,
-                                  const std::string& context) {
-  if (value == "geometric") return topo::AccessPattern::kGeometric;
-  if (value == "uniform") return topo::AccessPattern::kUniform;
-  schema_error(context, "unknown pattern `" + value +
-                            "` (geometric|uniform)");
 }
 
 core::IdealMethod parse_method(const std::string& value,
@@ -105,50 +92,32 @@ core::IdealMethod parse_method(const std::string& value,
 
 // --- section parsers ------------------------------------------------------
 
+/// Every key of `base` is a row of the field table, parsed by its kind.
 void parse_base(const io::Json& obj, core::MmsConfig& cfg) {
-  const std::string ctx = "base";
-  check_keys(obj,
-             {"topology", "k", "memory_latency", "switch_delay",
-              "memory_ports", "pipelined_switches", "threads", "runlength",
-              "context_switch", "p_remote", "pattern", "p_sw",
-              "hotspot_node", "hotspot_fraction", "open_arrival_rate",
-              "count_source_outbound"},
-             ctx);
-  for (const auto& [key, value] : obj.as_object()) {
-    const std::string kctx = ctx + "." + key;
-    if (key == "topology") {
-      cfg.topology = parse_topology(get_string(value, kctx), kctx);
-    } else if (key == "k") {
-      cfg.k = get_int(value, kctx);
-    } else if (key == "memory_latency") {
-      cfg.memory_latency = get_number(value, kctx);
-    } else if (key == "switch_delay") {
-      cfg.switch_delay = get_number(value, kctx);
-    } else if (key == "memory_ports") {
-      cfg.memory_ports = get_int(value, kctx);
-    } else if (key == "pipelined_switches") {
-      cfg.pipelined_switches = get_bool(value, kctx);
-    } else if (key == "threads") {
-      cfg.threads_per_processor = get_int(value, kctx);
-    } else if (key == "runlength") {
-      cfg.runlength = get_number(value, kctx);
-    } else if (key == "context_switch") {
-      cfg.context_switch = get_number(value, kctx);
-    } else if (key == "p_remote") {
-      cfg.p_remote = get_number(value, kctx);
-    } else if (key == "pattern") {
-      cfg.traffic.pattern = parse_pattern(get_string(value, kctx), kctx);
-    } else if (key == "p_sw") {
-      cfg.traffic.p_sw = get_number(value, kctx);
-    } else if (key == "hotspot_node") {
-      cfg.traffic.hotspot_node = get_int(value, kctx);
-    } else if (key == "hotspot_fraction") {
-      cfg.traffic.hotspot_fraction = get_number(value, kctx);
-    } else if (key == "open_arrival_rate") {
-      cfg.open_arrival_rate = get_number(value, kctx);
-    } else if (key == "count_source_outbound") {
-      cfg.count_source_outbound = get_bool(value, kctx);
+  for (const auto& [key, value] : as_object(obj, "base")) {
+    const ConfigField* field = find_field(key);
+    if (field == nullptr) {
+      std::string names;
+      for (const ConfigField& f : config_fields()) (names += ' ') += f.name;
+      schema_error("base", "unknown key `" + key + "` (allowed:" + names +
+                               ")");
     }
+    const std::string ctx = "base." + key;
+    double v = 0;
+    if (field->kind == FieldKind::kChoice) {
+      const std::string& name = get_string(value, ctx);
+      try {
+        v = choice_value(*field, name);
+      } catch (const InvalidArgument& e) {
+        schema_error(ctx, e.what());
+      }
+    } else if (field->kind == FieldKind::kBool) {
+      v = get_bool(value, ctx);
+    } else {
+      v = field->kind == FieldKind::kInteger ? get_int(value, ctx)
+                                             : get_number(value, ctx);
+    }
+    field->set(cfg, v);
   }
 }
 
@@ -181,12 +150,7 @@ std::vector<double> parse_axis_values(const io::Json& comp,
   const double b = get_number(*to, rctx + ".to");
   const int n = get_int(*steps, rctx + ".steps");
   if (n < 1) schema_error(rctx + ".steps", "must be >= 1");
-  for (int s = 0; s < n; ++s) {
-    // Same interpolation as the CLI sweep command, so a range axis and
-    // `latol sweep` evaluate identical points.
-    out.push_back(n == 1 ? a : a + (b - a) * s / (n - 1));
-  }
-  return out;
+  return range_values(a, b, n);
 }
 
 AxisComponent parse_component(const io::Json& comp, const std::string& ctx) {
@@ -194,8 +158,14 @@ AxisComponent parse_component(const io::Json& comp, const std::string& ctx) {
   const io::Json* param = comp.find("param");
   if (param == nullptr) schema_error(ctx, "missing `param`");
   AxisComponent out;
-  out.param = canonical_parameter(get_string(*param, ctx + ".param"));
+  out.field = &axis_field(get_string(*param, ctx + ".param"));
   out.values = parse_axis_values(comp, ctx);
+  const auto bad = std::find_if_not(out.values.begin(), out.values.end(),
+                                    is_int);
+  if (out.field->kind == FieldKind::kInteger && bad != out.values.end()) {
+    schema_error(ctx, std::string("parameter `") + out.field->name +
+                          "` is integer-valued, got " + io::json_number(*bad));
+  }
   return out;
 }
 
@@ -228,8 +198,9 @@ Axis parse_axis(const io::Json& axis, std::size_t index) {
   // One axis must not vary the same parameter twice.
   for (std::size_t i = 0; i < out.components.size(); ++i) {
     for (std::size_t j = i + 1; j < out.components.size(); ++j) {
-      if (out.components[i].param == out.components[j].param) {
-        schema_error(ctx, "parameter `" + out.components[i].param +
+      if (out.components[i].field == out.components[j].field) {
+        schema_error(ctx, std::string("parameter `") +
+                              out.components[i].field->name +
                               "` appears twice in one axis");
       }
     }
@@ -268,15 +239,6 @@ void parse_outputs(const io::Json& obj, Scenario& s) {
   }
 }
 
-core::SolveMethod parse_solve_method(const std::string& value,
-                                     const std::string& context) {
-  if (value == "amva") return core::SolveMethod::kAmva;
-  if (value == "linearizer") return core::SolveMethod::kLinearizer;
-  if (value == "fesc") return core::SolveMethod::kHierarchical;
-  schema_error(context,
-               "unknown method `" + value + "` (amva|linearizer|fesc)");
-}
-
 void parse_solver(const io::Json& obj, Scenario& s) {
   const std::string ctx = "solver";
   check_keys(obj,
@@ -284,8 +246,12 @@ void parse_solver(const io::Json& obj, Scenario& s) {
               "warm_start"},
              ctx);
   if (const io::Json* v = obj.find("method")) {
-    s.method = parse_solve_method(get_string(*v, ctx + ".method"),
-                                  ctx + ".method");
+    const std::string& name = get_string(*v, ctx + ".method");
+    try {
+      s.method = core::parse_solve_method(name);
+    } catch (const InvalidArgument& e) {
+      schema_error(ctx + ".method", e.what());
+    }
   }
   if (const io::Json* v = obj.find("max_iterations")) {
     s.amva.max_iterations = get_int(*v, ctx + ".max_iterations");
@@ -350,21 +316,28 @@ void parse_validation(const io::Json& obj, Scenario& s) {
   s.validation = std::move(spec);
 }
 
-/// Metric (non-parameter) column names.
+/// Metric columns other than the measures.
 constexpr const char* kMetricColumns[] = {
-    "U_p",          "lambda",      "lambda_net",  "S_obs",
-    "L_obs",        "mem_util",    "switch_util", "d_avg",
-    "residual",     "iterations",  "tol_network", "tol_memory",
-    "zone_network", "zone_memory", "solver",      "converged",
-    "error",        "open_latency", "open_util",
-    "sim_U_p",      "sim_lambda_net",
-    "sim_S_obs",    "sim_L_obs",   "sim_open_latency",
+    "iterations",     "tol_network", "tol_memory", "zone_network",
+    "zone_memory",    "solver",      "converged",  "error",
+    "sim_U_p",        "sim_lambda_net", "sim_S_obs", "sim_L_obs",
+    "sim_open_latency",
 };
 
 }  // namespace
 
+std::vector<double> range_values(double from, double to, int steps) {
+  std::vector<double> out;
+  for (int s = 0; s < steps; ++s) {
+    out.push_back(steps == 1 ? from : from + (to - from) * s / (steps - 1));
+  }
+  return out;
+}
+
 bool is_known_column(const std::string& column) {
-  if (is_parameter(column)) return true;
+  if (find_axis(column) != nullptr || find_measure(column) != nullptr) {
+    return true;
+  }
   for (const char* m : kMetricColumns) {
     if (column == m) return true;
   }
@@ -376,8 +349,8 @@ std::vector<std::string> Scenario::output_columns() const {
   std::vector<std::string> out;
   for (const Axis& axis : axes) {
     for (const AxisComponent& comp : axis.components) {
-      if (std::find(out.begin(), out.end(), comp.param) == out.end()) {
-        out.push_back(comp.param);
+      if (std::find(out.begin(), out.end(), comp.field->name) == out.end()) {
+        out.emplace_back(comp.field->name);
       }
     }
   }
@@ -435,8 +408,8 @@ Scenario scenario_from_json(const io::Json& doc) {
     for (const AxisComponent& ci : s.axes[i].components) {
       for (std::size_t j = i + 1; j < s.axes.size(); ++j) {
         for (const AxisComponent& cj : s.axes[j].components) {
-          if (ci.param == cj.param) {
-            schema_error("axes", "parameter `" + ci.param +
+          if (ci.field == cj.field) {
+            schema_error("axes", std::string("parameter `") + ci.field->name +
                                      "` appears on two axes");
           }
         }
@@ -472,24 +445,8 @@ Scenario load_scenario(const std::string& path) {
 }
 
 std::vector<core::MmsConfig> expand_grid(const Scenario& s) {
-  const std::size_t total = grid_size(s);
-  std::vector<core::MmsConfig> grid;
-  grid.reserve(total);
-  // Mixed-radix counter, first axis outermost (slowest).
-  std::vector<std::size_t> idx(s.axes.size(), 0);
-  for (std::size_t point = 0; point < total; ++point) {
-    core::MmsConfig cfg = s.base;
-    for (std::size_t a = 0; a < s.axes.size(); ++a) {
-      for (const AxisComponent& comp : s.axes[a].components) {
-        apply_parameter(cfg, comp.param, comp.values[idx[a]]);
-      }
-    }
-    grid.push_back(cfg);
-    for (std::size_t a = s.axes.size(); a-- > 0;) {
-      if (++idx[a] < s.axes[a].size()) break;
-      idx[a] = 0;
-    }
-  }
+  std::vector<core::MmsConfig> grid(grid_size(s));
+  for (std::size_t i = 0; i < grid.size(); ++i) grid[i] = config_at(s, i);
   return grid;
 }
 
@@ -504,15 +461,15 @@ std::size_t grid_size(const Scenario& s) {
 
 core::MmsConfig config_at(const Scenario& s, std::size_t index) {
   LATOL_REQUIRE(index < grid_size(s), "grid index out of range");
-  // Decompose the flat index with the same mixed radix expand_grid
-  // iterates: first axis outermost, last axis fastest.
+  // Decompose the flat index as a mixed radix: first axis outermost, last
+  // axis fastest.
   core::MmsConfig cfg = s.base;
   for (std::size_t a = s.axes.size(); a-- > 0;) {
     const std::size_t n = s.axes[a].size();
     const std::size_t step = index % n;
     index /= n;
     for (const AxisComponent& comp : s.axes[a].components) {
-      apply_parameter(cfg, comp.param, comp.values[step]);
+      comp.field->set(cfg, comp.values[step]);
     }
   }
   return cfg;

@@ -19,6 +19,7 @@
 #include "core/mms_config.hpp"
 #include "core/mms_model.hpp"
 #include "core/tolerance.hpp"
+#include "exp/parameter.hpp"
 #include "io/json.hpp"
 #include "qn/mva_approx.hpp"
 
@@ -26,7 +27,7 @@ namespace latol::exp {
 
 /// One parameter varied along an axis.
 struct AxisComponent {
-  std::string param;           ///< canonical parameter name
+  const ConfigField* field = nullptr;  ///< an axis row of config_fields()
   std::vector<double> values;  ///< explicit list, or an expanded range
 };
 
@@ -118,8 +119,13 @@ struct Scenario {
 [[nodiscard]] core::MmsConfig config_at(const Scenario& s,
                                         std::size_t index);
 
-/// True when `column` is a valid output column name (axis parameter,
-/// alias, or metric). See DESIGN.md §8 for the full list.
+/// The `steps` evenly spaced points from `from` to `to` (`from` alone
+/// when steps is 1): the values of a range axis, and of `latol sweep`.
+[[nodiscard]] std::vector<double> range_values(double from, double to,
+                                               int steps);
+
+/// True when `column` is a valid output column name: an axis row by name
+/// or alias, a measure, or one of the other metric columns (DESIGN.md §8).
 [[nodiscard]] bool is_known_column(const std::string& column);
 
 }  // namespace latol::exp

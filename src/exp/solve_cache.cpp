@@ -10,11 +10,11 @@
 #include <utility>
 #include <vector>
 
+#include "exp/parameter.hpp"
 #include "io/json.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "qn/robust.hpp"
-#include "topo/topology.hpp"
 #include "util/error.hpp"
 
 namespace latol::exp {
@@ -28,6 +28,9 @@ namespace {
 // unchanged since -3, so a single-shard cache keeps writing the -3
 // inline-entries layout (one self-contained file — what `latol serve`
 // flushes) and load() accepts either layout at `path`.
+// Keys moved to the field table's names (`topology=` for `topo=`) with no
+// bump: files of another build are ignored by version anyway, and no old
+// key equals a new one.
 constexpr const char* kCacheFormat = "latol-solve-cache-4";
 constexpr const char* kInlineCacheFormat = "latol-solve-cache-3";
 
@@ -55,23 +58,11 @@ qn::SolverKind solver_kind_from_name(const std::string& name) {
 
 io::Json perf_to_json(const core::MmsPerformance& p) {
   io::Json o = io::Json::object();
-  o.set("U_p", p.processor_utilization);
-  o.set("lambda", p.access_rate);
-  o.set("lambda_net", p.message_rate);
-  o.set("S_obs", p.network_latency);
-  o.set("L_obs", p.memory_latency);
-  o.set("mem_util", p.memory_utilization);
-  o.set("switch_util", p.switch_utilization);
-  o.set("d_avg", p.average_distance);
+  for (const Measure& m : measures()) o.set(m.name, p.*m.member);
   o.set("iterations", static_cast<double>(p.solver_iterations));
   o.set("converged", p.converged);
   o.set("solver", qn::solver_kind_name(p.solver));
   o.set("degraded", p.degraded);
-  o.set("residual", p.residual);
-  o.set("open_latency", p.open_latency);
-  o.set("open_util", p.open_utilization);
-  o.set("littles_law_error", p.littles_law_error);
-  o.set("flow_balance_error", p.flow_balance_error);
   io::Json history = io::Json::array();
   for (const double d : p.residual_history) history.push_back(d);
   o.set("residual_history", std::move(history));
@@ -79,47 +70,20 @@ io::Json perf_to_json(const core::MmsPerformance& p) {
 }
 
 core::MmsPerformance perf_from_json(const io::Json& o) {
-  const auto num = [&](const char* key) {
+  const auto member = [&](const char* key) -> const io::Json& {
     const io::Json* v = o.find(key);
     if (v == nullptr) {
-      throw InvalidArgument(std::string("cache entry missing `") + key +
-                            "`");
+      throw InvalidArgument(std::string("cache entry missing `") + key + "`");
     }
-    return v->as_number();
-  };
-  const auto flag = [&](const char* key) {
-    const io::Json* v = o.find(key);
-    if (v == nullptr) {
-      throw InvalidArgument(std::string("cache entry missing `") + key +
-                            "`");
-    }
-    return v->as_bool();
+    return *v;
   };
   core::MmsPerformance p;
-  p.processor_utilization = num("U_p");
-  p.access_rate = num("lambda");
-  p.message_rate = num("lambda_net");
-  p.network_latency = num("S_obs");
-  p.memory_latency = num("L_obs");
-  p.memory_utilization = num("mem_util");
-  p.switch_utilization = num("switch_util");
-  p.average_distance = num("d_avg");
-  p.solver_iterations = static_cast<long>(num("iterations"));
-  p.converged = flag("converged");
-  const io::Json* solver = o.find("solver");
-  if (solver == nullptr) throw InvalidArgument("cache entry missing `solver`");
-  p.solver = solver_kind_from_name(solver->as_string());
-  p.degraded = flag("degraded");
-  p.residual = num("residual");
-  p.open_latency = num("open_latency");
-  p.open_utilization = num("open_util");
-  p.littles_law_error = num("littles_law_error");
-  p.flow_balance_error = num("flow_balance_error");
-  const io::Json* history = o.find("residual_history");
-  if (history == nullptr || !history->is_array()) {
-    throw InvalidArgument("cache entry missing `residual_history`");
-  }
-  for (const io::Json& d : history->as_array())
+  for (const Measure& m : measures()) p.*m.member = member(m.name).as_number();
+  p.solver_iterations = static_cast<long>(member("iterations").as_number());
+  p.converged = member("converged").as_bool();
+  p.solver = solver_kind_from_name(member("solver").as_string());
+  p.degraded = member("degraded").as_bool();
+  for (const io::Json& d : member("residual_history").as_array())
     p.residual_history.push_back(d.as_number());
   return p;
 }
@@ -167,26 +131,13 @@ std::string SolveCache::config_key(const core::MmsConfig& config,
                                    core::SolveMethod method) {
   const auto num = io::json_number;  // shortest round trip = injective
   std::string key;
-  key.reserve(256);
-  key += "topo=";
-  key += topo::topology_kind_name(config.topology);
-  key += ";k=" + std::to_string(config.k);
-  key += ";L=" + num(config.memory_latency);
-  key += ";S=" + num(config.switch_delay);
-  key += ";ports=" + std::to_string(config.memory_ports);
-  key += ";pipe=" + std::to_string(config.pipelined_switches ? 1 : 0);
-  key += ";nt=" + std::to_string(config.threads_per_processor);
-  key += ";R=" + num(config.runlength);
-  key += ";C=" + num(config.context_switch);
-  key += ";p=" + num(config.p_remote);
-  key += ";pat=" +
-         std::to_string(static_cast<int>(config.traffic.pattern));
-  key += ";psw=" + num(config.traffic.p_sw);
-  key += ";mode=" + std::to_string(static_cast<int>(config.traffic.mode));
-  key += ";hot=" + std::to_string(config.traffic.hotspot_node);
-  key += ";hotf=" + num(config.traffic.hotspot_fraction);
-  key += ";lam0=" + num(config.open_arrival_rate);
-  key += ";srcout=" + std::to_string(config.count_source_outbound ? 1 : 0);
+  key.reserve(512);
+  for (const ConfigField& field : config_fields()) {
+    key += field.name;
+    key += '=';
+    append_value(key, field, config);
+    key += ';';
+  }
   key += "|method=";
   key += core::solve_method_name(method);
   key += ";tol=" + num(options.tolerance);

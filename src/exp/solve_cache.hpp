@@ -67,11 +67,13 @@ class SolveCache {
       bool* was_hit = nullptr,
       core::SolveMethod method = core::SolveMethod::kAmva);
 
-  /// Canonical, collision-free cache key for (config, options, method).
-  /// Includes AmvaOptions::record_trace, so traced and untraced solves of
-  /// the same configuration never share an entry; includes the solve
-  /// method and open_arrival_rate, so AMVA/Linearizer/FESC answers and
-  /// open-vs-closed workloads never alias.
+  /// Canonical, collision-free cache key for (config, options, method):
+  /// one `name=value;` per config_fields() row in table order, values
+  /// spelled as scenario JSON spells them (so every MmsConfig field is
+  /// in it), then the solve method and the AmvaOptions. Includes
+  /// AmvaOptions::record_trace, so traced and untraced solves of the same
+  /// configuration never share an entry, and the method, so
+  /// AMVA/Linearizer/FESC answers never alias.
   [[nodiscard]] static std::string config_key(
       const core::MmsConfig& config, const qn::AmvaOptions& options,
       core::SolveMethod method = core::SolveMethod::kAmva);

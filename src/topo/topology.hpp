@@ -60,7 +60,8 @@ enum class TopologyKind {
   kHypercube,  // side is log2(nodes)
 };
 
-/// Human-readable name of `kind` ("torus", "mesh", ...).
+/// Human-readable name of `kind`: "torus2d", "mesh2d", "ring" or
+/// "hypercube".
 [[nodiscard]] const char* topology_kind_name(TopologyKind kind);
 
 /// Factory: build a topology of `kind` with `side` nodes per dimension

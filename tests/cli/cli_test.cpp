@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "exp/parameter.hpp"
+#include "exp/scenario.hpp"
+#include "exp/solve_cache.hpp"
 #include "io/json.hpp"
 #include "util/error.hpp"
 
@@ -90,8 +93,23 @@ TEST(CliParse, RejectsBadValues) {
                InvalidArgument);
   EXPECT_THROW((void)parse_command_line({"analyze", "--p-remote"}),
                InvalidArgument);
-  EXPECT_THROW((void)parse_command_line({"analyze", "--topology", "star"}),
-               InvalidArgument);
+  struct BadChoice {
+    const char* flag;
+    const char* value;
+    const char* message;
+  };
+  for (const BadChoice& c :
+       {BadChoice{"--topology", "star",
+                  "unknown topology `star` (torus|mesh|ring|hypercube)"},
+        BadChoice{"--pattern", "zipf",
+                  "unknown pattern `zipf` (geometric|uniform)"}}) {
+    try {
+      (void)parse_command_line({"analyze", c.flag, c.value});
+      ADD_FAILURE() << "expected an error for " << c.flag;
+    } catch (const InvalidArgument& e) {
+      EXPECT_STREQ(e.what(), c.message);
+    }
+  }
   EXPECT_THROW((void)parse_command_line({"analyze", "--bogus", "1"}),
                InvalidArgument);
 }
@@ -230,9 +248,87 @@ TEST(CliMain, UsageDocumentsExitCodes) {
 TEST(CliMain, UsageNamesEverySweepAxis) {
   const std::string text = usage();
   const std::string flags = text.substr(text.find("sweep flags:"));
-  for (const std::string& name : exp::parameter_names()) {
-    EXPECT_NE(flags.find(name), std::string::npos) << name;
+  for (const exp::ConfigField& f : exp::config_fields()) {
+    if (f.is_axis()) {
+      EXPECT_NE(flags.find(f.name), std::string::npos) << f.name;
+    }
   }
+}
+
+TEST(CliMain, HelpFlagAfterACommandPrintsUsage) {
+  for (const char* command : {"analyze", "sweep", "run", "serve", "help"}) {
+    for (const char* flag : {"--help", "-h"}) {
+      std::ostringstream out, err;
+      EXPECT_EQ(cli_main({command, "--k", "8", flag}, out, err), 0)
+          << command << ' ' << flag;
+      EXPECT_EQ(out.str(), usage());
+      EXPECT_TRUE(err.str().empty()) << err.str();
+    }
+  }
+}
+
+// --- the MmsConfig field table --------------------------------------------
+
+/// `cfg` with row `f` moved off its value: a number by +0.5, an integer by
+/// +1, a bool flipped, a choice to its next value.
+core::MmsConfig perturbed(const exp::ConfigField& f, core::MmsConfig cfg) {
+  const double v = f.get(cfg);
+  switch (f.kind) {
+    case exp::FieldKind::kNumber:
+      f.set(cfg, v + 0.5);
+      break;
+    case exp::FieldKind::kInteger:
+      f.set(cfg, v + 1.0);
+      break;
+    case exp::FieldKind::kBool:
+      f.set(cfg, v == 0.0 ? 1.0 : 0.0);
+      break;
+    case exp::FieldKind::kChoice:
+      f.set(cfg, std::fmod(v + 1.0, static_cast<double>(f.choices.size())));
+      break;
+  }
+  return cfg;
+}
+
+TEST(ConfigFieldTable, EveryRowReachesTheKeyTheScenarioAndItsFlag) {
+  ASSERT_EQ(exp::config_fields().size(), 17u);
+  const core::MmsConfig defaults = CliOptions{}.config;
+  const auto key = [](const core::MmsConfig& c) {
+    return exp::SolveCache::config_key(c, {});
+  };
+  for (const exp::ConfigField& f : exp::config_fields()) {
+    SCOPED_TRACE(f.name);
+    const core::MmsConfig changed = perturbed(f, defaults);
+    EXPECT_NE(key(changed), key(defaults));
+
+    std::string value;
+    exp::append_value(value, f, changed);
+    const std::string json = f.kind == exp::FieldKind::kChoice
+                                 ? '"' + value + '"'
+                                 : value;
+    const exp::Scenario s = exp::scenario_from_json(io::parse_json(
+        std::string(R"({"name": "t", "base": {")") + f.name + "\": " + json +
+        "}}"));
+    EXPECT_EQ(key(s.base), key(changed));
+
+    if (f.flag == nullptr) continue;
+    std::vector<std::string> args = {"analyze", f.flag};
+    if (f.kind != exp::FieldKind::kBool) args.push_back(value);
+    EXPECT_EQ(key(parse_command_line(args).config), key(changed));
+  }
+}
+
+TEST(ConfigFieldTable, MachineFlagsKeepTheirSpellings) {
+  std::vector<std::string> flags;
+  for (const exp::ConfigField& f : exp::config_fields()) {
+    if (f.flag != nullptr) flags.emplace_back(f.flag);
+  }
+  const std::vector<std::string> expected = {
+      "--k", "--topology", "--threads", "--runlength", "--context-switch",
+      "--p-remote", "--pattern", "--p-sw", "--memory-latency",
+      "--switch-delay", "--hotspot-node", "--hotspot-fraction",
+      "--memory-ports", "--pipelined-switches", "--open-arrival"};
+  EXPECT_EQ(flags, expected);
 }
 
 // --- latol run ------------------------------------------------------------

@@ -19,30 +19,47 @@ Scenario from_text(const std::string& text) {
 // --- parameter registry ---------------------------------------------------
 
 TEST(Parameter, AliasesResolveToCanonicalNames) {
-  EXPECT_EQ(canonical_parameter("n_t"), "threads");
-  EXPECT_EQ(canonical_parameter("R"), "runlength");
-  EXPECT_EQ(canonical_parameter("L"), "memory_latency");
-  EXPECT_EQ(canonical_parameter("S"), "switch_delay");
-  EXPECT_EQ(canonical_parameter("C"), "context_switch");
-  EXPECT_EQ(canonical_parameter("p_remote"), "p_remote");
-  EXPECT_THROW(canonical_parameter("nope"), InvalidArgument);
+  EXPECT_STREQ(axis_field("n_t").name, "threads");
+  EXPECT_STREQ(axis_field("R").name, "runlength");
+  EXPECT_STREQ(axis_field("L").name, "memory_latency");
+  EXPECT_STREQ(axis_field("S").name, "switch_delay");
+  EXPECT_STREQ(axis_field("C").name, "context_switch");
+  EXPECT_STREQ(axis_field("p_remote").name, "p_remote");
+  EXPECT_THROW((void)axis_field("nope"), InvalidArgument);
+  // Choice and bool rows are not axes.
+  EXPECT_EQ(find_axis("topology"), nullptr);
+  EXPECT_EQ(find_axis("pipelined_switches"), nullptr);
 }
 
 TEST(Parameter, ApplyAndReadRoundTrip) {
   core::MmsConfig cfg = core::MmsConfig::paper_defaults();
-  for (const std::string& name : parameter_names()) {
-    const double v = parameter_is_integral(name) ? 2.0 : 0.25;
-    apply_parameter(cfg, name, v);
-    EXPECT_EQ(read_parameter(cfg, name), v) << name;
+  for (const ConfigField& f : config_fields()) {
+    if (!f.is_axis()) continue;
+    const double v = f.kind == FieldKind::kInteger ? 2.0 : 0.25;
+    f.set(cfg, v);
+    EXPECT_EQ(f.get(cfg), v) << f.name;
   }
 }
 
 TEST(Parameter, IntegralParametersRejectFractions) {
-  core::MmsConfig cfg = core::MmsConfig::paper_defaults();
-  EXPECT_THROW(apply_parameter(cfg, "threads", 2.5), InvalidArgument);
-  EXPECT_THROW(apply_parameter(cfg, "k", 3.7), InvalidArgument);
-  apply_parameter(cfg, "runlength", 2.5);  // real-valued: fine
-  EXPECT_EQ(cfg.runlength, 2.5);
+  EXPECT_THROW(
+      from_text(R"({"name":"t","axes":[{"param":"threads","values":[2.5]}]})"),
+      InvalidArgument);
+  EXPECT_THROW(
+      from_text(R"({"name":"t","axes":[{"param":"k","values":[3.7]}]})"),
+      InvalidArgument);
+  // A whole number no int holds, as an axis value and as a base key.
+  EXPECT_THROW(
+      from_text(R"({"name":"t","axes":[{"param":"threads","values":[1e10]}]})"),
+      InvalidArgument);
+  EXPECT_THROW(from_text(R"({"name":"t","base":{"k":1e10}})"), InvalidArgument);
+  // A range whose points fall between integers.
+  EXPECT_THROW(from_text(R"({"name":"t","axes":[{"param":"memory_ports",
+      "range":{"from":1,"to":2,"steps":3}}]})"),
+               InvalidArgument);
+  const Scenario s = from_text(
+      R"({"name":"t","axes":[{"param":"runlength","values":[2.5]}]})");
+  EXPECT_EQ(expand_grid(s)[0].runlength, 2.5);  // real-valued: fine
 }
 
 // --- scenario parsing -----------------------------------------------------
@@ -109,7 +126,7 @@ TEST(Scenario, BaseOverridesAndAliases) {
   })");
   EXPECT_EQ(s.base.runlength, 20.0);
   EXPECT_EQ(s.base.topology, topo::TopologyKind::kMesh2D);
-  EXPECT_EQ(s.axes[0].components[0].param, "threads");  // alias resolved
+  EXPECT_STREQ(s.axes[0].components[0].field->name, "threads");  // alias
 }
 
 TEST(Scenario, DefaultColumnsListAxisParamsThenMetrics) {
@@ -164,10 +181,10 @@ TEST(ScenarioSchema, RejectsBadAxes) {
   EXPECT_THROW(from_text(R"({"name":"t","axes":[
       {"param":"k","values":[2]},{"param":"k","values":[3]}]})"),
                InvalidArgument);
-  // Fractional value for an integral parameter surfaces at expansion.
-  const Scenario s =
-      from_text(R"({"name":"t","axes":[{"param":"threads","values":[1.5]}]})");
-  EXPECT_THROW(expand_grid(s), InvalidArgument);
+  // Fractional value for an integral parameter, rejected at parse time.
+  EXPECT_THROW(
+      from_text(R"({"name":"t","axes":[{"param":"threads","values":[1.5]}]})"),
+      InvalidArgument);
 }
 
 TEST(ScenarioSchema, ColumnsRequireMatchingOutputs) {
@@ -204,6 +221,27 @@ TEST(ScenarioSchema, ValidationAndSolverSections) {
                InvalidArgument);
 }
 
+TEST(ScenarioSchema, ChoiceKeysNameTheirValues) {
+  EXPECT_EQ(from_text(R"({"name":"t","base":{"geometric_mode":"per_module"}})")
+                .base.traffic.mode,
+            topo::GeometricMode::kPerModule);
+  try {
+    (void)from_text(R"({"name":"t","base":{"topology":"star"}})");
+    FAIL() << "expected an error";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(),
+                 "scenario: base.topology: unknown topology `star` "
+                 "(torus|mesh|ring|hypercube)");
+  }
+}
+
+TEST(ScenarioSchema, EveryMeasureAndAxisIsAColumn) {
+  for (const Measure& m : measures()) EXPECT_TRUE(is_known_column(m.name));
+  EXPECT_TRUE(is_known_column("hotspot_node"));
+  EXPECT_TRUE(is_known_column("n_t"));
+  EXPECT_FALSE(is_known_column("topology"));
+}
+
 // --- open workloads (DESIGN.md §12) ---------------------------------------
 
 TEST(ScenarioOpen, BaseAcceptsOpenArrivalRate) {
@@ -231,8 +269,12 @@ TEST(ScenarioOpen, SolverMethodSelectsTheMachinery) {
       core::SolveMethod::kLinearizer);
   EXPECT_EQ(from_text(R"({"name":"t","solver":{"method":"fesc"}})").method,
             core::SolveMethod::kHierarchical);
-  EXPECT_THROW(from_text(R"({"name":"t","solver":{"method":"magic"}})"),
-               InvalidArgument);
+  try {
+    (void)from_text(R"({"name":"t","solver":{"method":"magic"}})");
+    FAIL() << "expected an error";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("solver.method"), std::string::npos);
+  }
 }
 
 TEST(ScenarioOpen, OpenMetricColumnsAreKnown) {
