@@ -128,10 +128,6 @@ CliOptions parse_command_line(const std::vector<std::string>& args) {
                                                     << index);
       opts.shard_index = static_cast<std::size_t>(index);
       opts.shard_count = static_cast<std::size_t>(count);
-    } else if (flag == "--block-points") {
-      const int n = parse_int(flag, value());
-      LATOL_REQUIRE(n >= 1, "--block-points must be >= 1");
-      opts.block_points = static_cast<std::size_t>(n);
     } else if (flag == "--workers" || flag == "--jobs") {
       const int n = parse_int(flag, value());
       LATOL_REQUIRE(n >= 0, flag << " must be >= 0");
@@ -317,8 +313,7 @@ std::string usage() {
         "                  neighbors (DESIGN.md §15); implies --stream\n"
         "  --shard I/N     solve rows r with r % N == I only; implies\n"
         "                  --stream. scripts/merge_shards.py reassembles\n"
-        "                  the N outputs byte-identically    [0/1]\n"
-        "  --block-points N  streamed-emission memory bound  [4096]\n\n"
+        "                  the N outputs byte-identically    [0/1]\n\n"
         "profile usage: latol profile <scenario.json> [--workers N]\n"
         "  solves the scenario with convergence tracing and the metric\n"
         "  registry enabled (transient cache; results are not written)\n"

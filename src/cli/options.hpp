@@ -86,8 +86,6 @@ struct CliOptions {
   /// Implies --stream. Defaults to the whole grid (0/1).
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  /// --block-points N: streamed-emission buffer bound (0 = default 4096).
-  std::size_t block_points = 0;
 
   // --- serve ---
   std::string serve_config_path;  ///< positional `latol serve <config.json>`

@@ -62,6 +62,15 @@ void MmsConfig::validate() const {
     LATOL_REQUIRE(traffic.p_sw > 0.0 && traffic.p_sw <= 1.0,
                   "p_sw=" << traffic.p_sw);
   }
+  if (traffic.hotspot_node >= 0 || traffic.hotspot_fraction != 0.0) {
+    LATOL_REQUIRE(traffic.hotspot_node >= 0 &&
+                      traffic.hotspot_node < num_processors(),
+                  "hotspot_node=" << traffic.hotspot_node << " on "
+                                  << num_processors() << " nodes");
+    LATOL_REQUIRE(
+        traffic.hotspot_fraction >= 0.0 && traffic.hotspot_fraction <= 1.0,
+        "hotspot_fraction=" << traffic.hotspot_fraction);
+  }
 }
 
 MmsConfig MmsConfig::paper_defaults() { return {}; }

@@ -58,7 +58,8 @@ struct MmsConfig {
   [[nodiscard]] int num_processors() const;
 
   /// Throws InvalidArgument on out-of-range parameters (negative delays,
-  /// probabilities outside [0,1], remote accesses on a 1-node machine...).
+  /// probabilities outside [0,1], remote accesses on a 1-node machine, a
+  /// hotspot node off the machine...).
   void validate() const;
 
   /// The paper's Table 1 defaults, which are the member initializers

@@ -444,12 +444,6 @@ Scenario load_scenario(const std::string& path) {
   return scenario_from_json(io::parse_json_file(path));
 }
 
-std::vector<core::MmsConfig> expand_grid(const Scenario& s) {
-  std::vector<core::MmsConfig> grid(grid_size(s));
-  for (std::size_t i = 0; i < grid.size(); ++i) grid[i] = config_at(s, i);
-  return grid;
-}
-
 std::size_t grid_size(const Scenario& s) {
   std::size_t total = 1;
   for (const Axis& axis : s.axes) {

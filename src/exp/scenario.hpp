@@ -76,8 +76,8 @@ struct Scenario {
   core::SolveMethod method = core::SolveMethod::kAmva;
   std::size_t workers = 0;  ///< 0 = hardware concurrency
   /// Chain lattice-neighbor warm-start hints along the fastest-varying
-  /// axis (qn/hints.hpp, DESIGN.md §15). Only the streaming runner honors
-  /// it; plain solves are unaffected.
+  /// axis (qn/hints.hpp, DESIGN.md §15.1); every run of the scenario
+  /// honors it.
   bool warm_start = false;
 
   /// FNV-1a hash of the canonical (compact) source document; identifies
@@ -101,21 +101,15 @@ struct Scenario {
 /// line/column diagnostics.
 [[nodiscard]] Scenario load_scenario(const std::string& path);
 
-/// Expand the axes' cross-product into concrete configurations, first
-/// axis outermost. A scenario without axes yields the base configuration
-/// alone. Grid order is deterministic and documented: later scenarios and
-/// cached runs may rely on it.
-[[nodiscard]] std::vector<core::MmsConfig> expand_grid(const Scenario& s);
-
-/// Number of grid points expand_grid(s) would produce, without
-/// materializing them — the streaming runner sizes shards and manifests
-/// from this.
+/// Number of points in the axes' cross-product (1 for a scenario without
+/// axes: the base configuration alone).
 [[nodiscard]] std::size_t grid_size(const Scenario& s);
 
-/// The configuration at grid position `index` (same order as
-/// expand_grid: first axis outermost, last axis fastest). O(#axes) per
-/// call, so a million-point sweep never holds the whole grid in memory.
-/// Requires index < grid_size(s).
+/// The configuration at grid position `index`. Grid order is the axes'
+/// cross-product with the first axis outermost and the last fastest; it
+/// is deterministic and documented, so later scenarios and cached runs
+/// may rely on it. O(#axes) per call, so a million-point sweep never
+/// holds the whole grid in memory. Requires index < grid_size(s).
 [[nodiscard]] core::MmsConfig config_at(const Scenario& s,
                                         std::size_t index);
 

@@ -651,9 +651,7 @@ HttpResponse Server::run_scenario_request(const HttpRequest& request) {
   HttpResponse response;
   response.content_type = "application/json";
   response.body = doc.dump(1) + "\n";
-  int exit_code = 0;
-  if (st.failed_points > 0 || st.degraded_points > 0) exit_code = 1;
-  if (st.grid_points > 0 && st.failed_points == st.grid_points) exit_code = 3;
+  int exit_code = exp::run_exit_code(st);
   if (st.deadline_points > 0 && has_deadline && token.expired()) {
     exit_code = kDeadlineExit;
   }

@@ -37,9 +37,10 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// The process-wide pool (hardware_concurrency workers), created on
-  /// first use. All sweep layers (core::sweep, exp::run_scenario, CLI)
-  /// share it by default so a nested sweep reuses the same threads
-  /// instead of oversubscribing the machine.
+  /// first use. Every sweep layer (core::sweep, the exp grid executor
+  /// behind `latol run`, `latol sweep` and the daemon) shares it by
+  /// default so a nested sweep reuses the same threads instead of
+  /// oversubscribing the machine.
   static ThreadPool& shared();
 
   /// Enqueue one task. Destruction runs every queued task before the

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "exp/parameter.hpp"
@@ -229,6 +231,51 @@ TEST(CliMain, DegradedSweepExitsOne) {
   EXPECT_NE(out.str().find("[degraded]"), std::string::npos);
 }
 
+TEST(CliMain, SweepLabelsIntegerRowsWithTheValueItSolves) {
+  // 1..8 in 9 steps spaces the grid at 1, 1.875, 2.75, ...; an integer
+  // axis solves those truncated (1, 1, 2, 3, ...), and each table row and
+  // metrics point carries the value solved.
+  const std::string metrics_path =
+      (std::filesystem::temp_directory_path() / "latol_sweep_labels.json")
+          .string();
+  std::ostringstream out, err;
+  ASSERT_EQ(cli_main({"sweep", "--param", "threads", "--from", "1", "--to",
+                      "8", "--steps", "9", "--metrics-out", metrics_path},
+                     out, err),
+            0)
+      << err.str();
+  std::vector<std::string> labels;
+  std::vector<std::string> rows;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    // Table rows read "|   1.000 | 0.2936 | ..."; keep those whose
+    // first cell is a number.
+    std::istringstream cells(line);
+    std::string bar;
+    std::string first;
+    cells >> bar >> first;
+    if (bar != "|" || first.empty() ||
+        std::isdigit(static_cast<unsigned char>(first[0])) == 0)
+      continue;
+    labels.push_back(first);
+    rows.push_back(line);
+  }
+  const std::vector<std::string> expected = {"1.000", "1.000", "2.000",
+                                             "3.000", "4.000", "5.000",
+                                             "6.000", "7.000", "8.000"};
+  EXPECT_EQ(labels, expected) << out.str();
+  ASSERT_EQ(rows.size(), 9u);
+  EXPECT_EQ(rows[0], rows[1]);  // the same solve under the same label
+  const io::Json doc = io::parse_json_file(metrics_path);
+  std::filesystem::remove(metrics_path);
+  const auto& points = doc.find("points")->as_array();
+  ASSERT_EQ(points.size(), 9u);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(points[i].find("threads")->as_number(), std::stod(expected[i]))
+        << i;
+  }
+}
+
 TEST(CliMain, UsageErrorsExitTwo) {
   std::ostringstream out, err;
   EXPECT_EQ(cli_main({"frobnicate"}, out, err), 2);
@@ -237,6 +284,17 @@ TEST(CliMain, UsageErrorsExitTwo) {
   std::ostringstream out2, err2;
   EXPECT_EQ(cli_main({"analyze", "--p-remote", "1.5"}, out2, err2), 2);
   EXPECT_NE(err2.str().find("p_remote"), std::string::npos);
+
+  // A sweep step with a hotspot node off the 16-node machine is a usage
+  // error, found before anything solves.
+  std::ostringstream out3, err3;
+  EXPECT_EQ(cli_main({"sweep", "--hotspot-node", "0", "--hotspot-fraction",
+                      "0.2", "--param", "hotspot_node", "--from", "0", "--to",
+                      "99", "--steps", "2"},
+                     out3, err3),
+            2);
+  EXPECT_NE(err3.str().find("hotspot_node=99"), std::string::npos)
+      << err3.str();
 }
 
 TEST(CliMain, UsageDocumentsExitCodes) {
@@ -352,12 +410,11 @@ TEST(CliParse, RunFlagsAndPositionalScenario) {
 TEST(CliParse, StreamingShardAndWarmStartFlags) {
   const CliOptions opts = parse_command_line(
       {"run", "exp.json", "--stream", "--warm-start", "--shard", "2/5",
-       "--block-points", "512", "--format", "jsonl"});
+       "--format", "jsonl"});
   EXPECT_TRUE(opts.run_stream);
   EXPECT_TRUE(opts.warm_start);
   EXPECT_EQ(opts.shard_index, 2u);
   EXPECT_EQ(opts.shard_count, 5u);
-  EXPECT_EQ(opts.block_points, 512u);
   EXPECT_EQ(opts.run_format, "jsonl");
   // Defaults: whole grid, no streaming.
   const CliOptions plain = parse_command_line({"run", "exp.json"});
@@ -377,9 +434,15 @@ TEST(CliParse, RejectsMalformedShardSpecs) {
                InvalidArgument);
   EXPECT_THROW((void)parse_command_line({"run", "a.json", "--shard", "1/0"}),
                InvalidArgument);
-  EXPECT_THROW(
-      (void)parse_command_line({"run", "a.json", "--block-points", "0"}),
-      InvalidArgument);
+  // The block bound is not a flag (RunOptions::block_points sets it).
+  try {
+    (void)parse_command_line({"run", "a.json", "--block-points", "512"});
+    ADD_FAILURE() << "--block-points parsed";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag `--block-points`"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 class CliRunScenario : public ::testing::Test {
@@ -544,6 +607,21 @@ TEST_F(CliRunScenario, PartialFailureExitsOneTotalFailureThree) {
   std::ostringstream out2, err2;
   EXPECT_EQ(cli_main({"run", total, "--out", dir_, "--no-cache"}, out2, err2),
             3);
+
+  // A hotspot node off the 16-node machine fails every point through
+  // MmsConfig::validate, which names the field: still exit 3.
+  const std::string hotspot = dir_ + "/hotspot.json";
+  {
+    std::ofstream f(hotspot);
+    f << R"({"name": "hotspot",
+            "base": {"hotspot_node": 99, "hotspot_fraction": 0.2},
+            "axes": [{"param": "p_remote", "values": [0.1, 0.2]}]})";
+  }
+  std::ostringstream out3, err3;
+  EXPECT_EQ(
+      cli_main({"run", hotspot, "--out", dir_, "--no-cache"}, out3, err3), 3);
+  EXPECT_NE(out3.str().find("hotspot_node=99"), std::string::npos)
+      << out3.str();
 }
 
 // --- instrumentation: --metrics-out / --trace / latol profile -------------

@@ -134,6 +134,43 @@ TEST(MmsConfig, SingleNodeNeedsAllLocalAccesses) {
   EXPECT_NO_THROW(c.validate());
 }
 
+TEST(MmsConfig, HotspotNodeMustBeOnTheMachine) {
+  MmsConfig c = MmsConfig::paper_defaults();  // 4x4 torus: nodes 0..15
+  c.traffic.hotspot_fraction = 0.2;
+  c.traffic.hotspot_node = 15;
+  EXPECT_NO_THROW(c.validate());
+  c.traffic.hotspot_node = 16;
+  EXPECT_THROW(c.validate(), InvalidArgument);
+  c.traffic.hotspot_node = 99;
+  EXPECT_THROW(c.validate(), InvalidArgument);
+  // A redirected fraction needs a target node.
+  c.traffic.hotspot_node = -1;
+  EXPECT_THROW(c.validate(), InvalidArgument);
+  // The bound is the machine's processor count, whatever the topology.
+  c.topology = topo::TopologyKind::kRing;
+  c.k = 99;
+  c.traffic.hotspot_node = 98;
+  EXPECT_NO_THROW(c.validate());
+  c.k = 98;
+  EXPECT_THROW(c.validate(), InvalidArgument);
+}
+
+TEST(MmsConfig, HotspotFractionIsAProbability) {
+  MmsConfig c = MmsConfig::paper_defaults();
+  c.traffic.hotspot_node = 0;
+  for (const double ok : {0.0, 0.5, 1.0}) {
+    c.traffic.hotspot_fraction = ok;
+    EXPECT_NO_THROW(c.validate()) << ok;
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {-0.1, 1.5, nan}) {
+    c.traffic.hotspot_fraction = bad;
+    EXPECT_THROW(c.validate(), InvalidArgument) << bad;
+  }
+  // The defaults (node -1, fraction 0) switch the hotspot off.
+  EXPECT_NO_THROW(MmsConfig::paper_defaults().validate());
+}
+
 TEST(MmsConfig, ZeroDelaysAreLegalIdealSystems) {
   MmsConfig c = MmsConfig::paper_defaults();
   c.switch_delay = 0.0;

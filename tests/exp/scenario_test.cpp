@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "exp/parameter.hpp"
 #include "io/json.hpp"
@@ -14,6 +15,15 @@ namespace {
 
 Scenario from_text(const std::string& text) {
   return scenario_from_json(io::parse_json(text));
+}
+
+/// Every grid point's configuration, in grid order.
+std::vector<core::MmsConfig> expand_grid(const Scenario& s) {
+  std::vector<core::MmsConfig> grid;
+  for (std::size_t i = 0; i < grid_size(s); ++i) {
+    grid.push_back(config_at(s, i));
+  }
+  return grid;
 }
 
 // --- parameter registry ---------------------------------------------------

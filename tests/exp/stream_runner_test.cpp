@@ -47,15 +47,20 @@ std::string stream_csv(const Scenario& scenario, const RunOptions& opts,
 }
 
 TEST(StreamRunner, GridSizeAndConfigAtMatchExpandGrid) {
+  // The expanded cross-product: first axis outermost, last fastest.
   const Scenario scenario = from_text(kGridScenario);
-  const std::vector<core::MmsConfig> grid = expand_grid(scenario);
-  ASSERT_EQ(grid_size(scenario), grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const core::MmsConfig cfg = config_at(scenario, i);
-    EXPECT_EQ(cfg.threads_per_processor, grid[i].threads_per_processor);
-    EXPECT_DOUBLE_EQ(cfg.p_remote, grid[i].p_remote);
+  const std::vector<int> threads = {1, 2, 3, 4};
+  const std::vector<double> p_remote = {0.05, 0.1, 0.2, 0.3, 0.4};
+  ASSERT_EQ(grid_size(scenario), threads.size() * p_remote.size());
+  std::size_t i = 0;
+  for (const int t : threads) {
+    for (const double p : p_remote) {
+      const core::MmsConfig cfg = config_at(scenario, i++);
+      EXPECT_EQ(cfg.threads_per_processor, t);
+      EXPECT_DOUBLE_EQ(cfg.p_remote, p);
+    }
   }
-  EXPECT_THROW((void)config_at(scenario, grid.size()), InvalidArgument);
+  EXPECT_THROW((void)config_at(scenario, i), InvalidArgument);
 }
 
 TEST(StreamRunner, AxislessScenarioIsOneRowOfOne) {
@@ -81,6 +86,17 @@ TEST(StreamRunner, StreamedCsvMatchesMaterializedCsv) {
   EXPECT_EQ(st.rows_total, 4u);
   EXPECT_EQ(st.rows_owned, 4u);
   EXPECT_EQ(st.failed_points, 0u);
+  // Warm starting applies to every run, so a warm scenario's materialized
+  // bytes equal its streamed bytes too, at any worker count.
+  Scenario warm = scenario;
+  warm.warm_start = true;
+  for (const std::size_t workers : {1u, 4u}) {
+    RunOptions opts;
+    opts.workers = workers;
+    std::ostringstream csv;
+    write_results_csv(warm, run_scenario(warm, opts), csv);
+    EXPECT_EQ(stream_csv(warm, opts), csv.str()) << workers << " workers";
+  }
 }
 
 TEST(StreamRunner, WorkerCountAndBlockSizeDoNotChangeBytes) {

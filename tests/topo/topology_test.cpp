@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
@@ -19,6 +20,12 @@ struct TopoCase {
   TopologyKind kind;
   int side;
 };
+
+/// `torus2d_3`: the test name and the printed parameter, stable across
+/// builds, so `ctest -R` selects one case.
+void PrintTo(const TopoCase& c, std::ostream* os) {
+  *os << topology_kind_name(c.kind) << '_' << c.side;
+}
 
 class AllTopologies : public ::testing::TestWithParam<TopoCase> {
  protected:
@@ -130,7 +137,8 @@ INSTANTIATE_TEST_SUITE_P(
                       TopoCase{TopologyKind::kRing, 5},
                       TopoCase{TopologyKind::kRing, 6},
                       TopoCase{TopologyKind::kHypercube, 3},
-                      TopoCase{TopologyKind::kHypercube, 4}));
+                      TopoCase{TopologyKind::kHypercube, 4}),
+    ::testing::PrintToStringParamName());
 
 TEST(Mesh2D, DistancesHaveNoWraparound) {
   const Mesh2D mesh(4);

@@ -4,11 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "util/error.hpp"
 
 namespace latol::topo {
+
+// Prints a parameter of the TrafficPatterns suite readably (found by
+// argument-dependent lookup, so it lives in the enum's namespace).
+void PrintTo(AccessPattern pattern, std::ostream* os) {
+  *os << (pattern == AccessPattern::kGeometric ? "geometric" : "uniform");
+}
+
 namespace {
 
 TEST(GeometricAverageDistance, MatchesPaperConstant) {
@@ -80,11 +90,19 @@ TEST_P(TrafficPatterns, AverageDistanceConsistentWithProbabilities) {
   EXPECT_NEAR(davg, dist.average_distance(), 1e-12);
 }
 
+/// `k4_geometric`: stable across builds, so `ctest -R` selects one case.
+std::string side_and_pattern_name(
+    const ::testing::TestParamInfo<std::tuple<int, AccessPattern>>& info) {
+  const auto [side, pattern] = info.param;
+  return "k" + std::to_string(side) + "_" + ::testing::PrintToString(pattern);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SidesAndPatterns, TrafficPatterns,
     ::testing::Combine(::testing::Values(2, 3, 4, 6, 10),
                        ::testing::Values(AccessPattern::kGeometric,
-                                         AccessPattern::kUniform)));
+                                         AccessPattern::kUniform)),
+    side_and_pattern_name);
 
 TEST(Traffic, PaperDefaultAverageDistance) {
   const Torus2D torus(4);
