@@ -454,6 +454,19 @@ TEST(Serve, ExpiredDeadlineReturns504Promptly) {
   EXPECT_GE(ts.server().stats().deadline, 1u);
 }
 
+TEST(Serve, ExpiredDeadlineOnSweepReturns504) {
+  // A sweep solves through the grid executor, which records each step's
+  // failure; the deadline must still surface as one.
+  TestServer ts(small_config());
+  const RawResponse r = roundtrip(
+      ts.port(),
+      make_request("POST", "/v1/sweep", R"({"args": ["--steps", "8"]})",
+                   "X-Deadline-Ms: 0.001\r\n"));
+  EXPECT_EQ(r.status, 504);
+  EXPECT_EQ(r.header("X-Latol-Exit"), std::to_string(kDeadlineExit));
+  EXPECT_GE(ts.server().stats().deadline, 1u);
+}
+
 TEST(Serve, MalformedDeadlineHeaderIs400) {
   TestServer ts(small_config());
   const RawResponse r = roundtrip(
