@@ -15,8 +15,11 @@
 namespace latol::bench {
 
 /// Prints the normal console table AND writes `path` on Finalize with
-/// {"benchmarks": [{name, iterations, real_time, cpu_time, time_unit,
-/// items_per_second?, label?}, ...]}. Errored runs are skipped.
+/// {"benchmarks": [{name, run_type, iterations, real_time, cpu_time,
+/// time_unit, items_per_second?, label?}, ...]}. `run_type` is
+/// "iteration" for a measured run (one row per repetition under
+/// --benchmark_repetitions) and "aggregate" for google-benchmark's
+/// mean/median/stddev rows. Errored runs are skipped.
 class JsonTeeReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonTeeReporter(std::string path) : path_(std::move(path)) {}
@@ -26,6 +29,8 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
       if (run.error_occurred) continue;
       io::Json entry = io::Json::object();
       entry.set("name", run.benchmark_name());
+      entry.set("run_type", run.run_type == Run::RT_Aggregate ? "aggregate"
+                                                              : "iteration");
       entry.set("iterations", static_cast<double>(run.iterations));
       entry.set("real_time", run.GetAdjustedRealTime());
       entry.set("cpu_time", run.GetAdjustedCPUTime());

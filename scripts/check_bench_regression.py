@@ -9,7 +9,10 @@ Throughput benchmarks (those reporting items_per_second, e.g. the
 simulator's events/s) are compared on baseline/current throughput, which
 stays meaningful when the work per iteration varies or the benchmark
 measures real time across worker threads; the rest are compared on
-cpu_time. Either way a ratio > 1 means "slower now". Because the
+cpu_time. A benchmark run with --benchmark_repetitions has one row per
+repetition under one name; it is summarized by the median of those
+rows (aggregate rows are skipped). Either way a ratio > 1 means "slower
+now". Because the
 baseline is committed from a different machine than the CI runner, raw
 numbers are not comparable; instead each benchmark's ratio is normalized
 by the median ratio across all shared benchmarks. The median captures
@@ -31,14 +34,20 @@ import sys
 def load(path):
     with open(path) as f:
         doc = json.load(f)
-    out = {}
+    reps = {}
     for b in doc["benchmarks"]:
-        # Aggregate rows (name/mean, name/median, ...) would double-count.
+        # Aggregate rows (name_mean, name_median, ...) would double-count.
         if b.get("run_type") == "aggregate":
             continue
         ips = b.get("items_per_second")
-        out[b["name"]] = (float(b["cpu_time"]),
-                          float(ips) if ips else None)
+        reps.setdefault(b["name"], []).append(
+            (float(b["cpu_time"]), float(ips) if ips else None))
+    # The median repetition, so one disturbed repetition moves nothing.
+    out = {}
+    for name, rows in reps.items():
+        rates = [r for _, r in rows if r]
+        out[name] = (statistics.median(t for t, _ in rows),
+                     statistics.median(rates) if rates else None)
     return out
 
 

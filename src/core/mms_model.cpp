@@ -1,6 +1,8 @@
 #include "core/mms_model.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,6 +64,25 @@ std::vector<qn::Station> make_station_list(const MmsConfig& config, int P) {
   return station_list;
 }
 
+/// Class `c` of `net`: population n_t, visit ratios `v`, and the uniform
+/// per-type service times at every PE's stations (they keep the BCMP
+/// class-independence condition satisfied by construction).
+void fill_class(qn::ClosedNetwork& net, std::size_t c, const MmsConfig& config,
+                const std::vector<double>& v) {
+  net.set_population(c, config.threads_per_processor);
+  for (std::size_t n = 0; n < net.num_stations() / 4; ++n) {
+    const PeStations st = MmsModel::stations(static_cast<int>(n));
+    net.set_service_time(c, st.processor,
+                         config.runlength + config.context_switch);
+    net.set_service_time(c, st.memory, config.memory_latency);
+    net.set_service_time(c, st.inbound, config.switch_delay);
+    net.set_service_time(c, st.outbound, config.switch_delay);
+  }
+  for (std::size_t m = 0; m < v.size(); ++m) {
+    if (v[m] > 0.0) net.set_visit_ratio(c, m, v[m]);
+  }
+}
+
 }  // namespace
 
 std::vector<double> MmsModel::class_visits(int i) const {
@@ -106,24 +127,7 @@ qn::ClosedNetwork MmsModel::build_network() const {
                         static_cast<std::size_t>(P));
 
   for (int i = 0; i < P; ++i) {
-    const auto c = static_cast<std::size_t>(i);
-    net.set_population(c, config_.threads_per_processor);
-
-    // Uniform per-type service times keep the BCMP class-independence
-    // condition satisfied by construction.
-    for (int n = 0; n < P; ++n) {
-      const PeStations st = stations(n);
-      net.set_service_time(c, st.processor,
-                           config_.runlength + config_.context_switch);
-      net.set_service_time(c, st.memory, config_.memory_latency);
-      net.set_service_time(c, st.inbound, config_.switch_delay);
-      net.set_service_time(c, st.outbound, config_.switch_delay);
-    }
-
-    const std::vector<double> v = class_visits(i);
-    for (std::size_t m = 0; m < v.size(); ++m) {
-      if (v[m] > 0.0) net.set_visit_ratio(c, m, v[m]);
-    }
+    fill_class(net, static_cast<std::size_t>(i), config_, class_visits(i));
   }
   return net;
 }
@@ -165,17 +169,17 @@ qn::OpenNetwork MmsModel::build_open_network() const {
   return open;
 }
 
-MmsPerformance extract_performance(const MmsModel& model,
-                                   const qn::ClosedNetwork& net,
-                                   const qn::MvaSolution& sol, int node) {
-  const MmsConfig& cfg = model.config();
-  const int P = model.topology().num_nodes();
-  LATOL_REQUIRE(node >= 0 && node < P, "node " << node);
+namespace {
+
+/// extract_performance on any network over the stations of PEs 0..n-1
+/// whose class `node` holds that node's threads: the full network, class
+/// 0's reduction, or node 0's component. `d_avg` is the node's.
+MmsPerformance node_measures(const MmsConfig& cfg, double d_avg,
+                             const qn::ClosedNetwork& net,
+                             const qn::MvaSolution& sol, int node) {
   const auto cls = static_cast<std::size_t>(node);
   MmsPerformance perf;
-  perf.average_distance = P >= 2 && cfg.p_remote > 0.0
-                              ? model.traffic().average_distance_from(node)
-                              : 0.0;
+  perf.average_distance = d_avg;
   perf.solver_iterations = sol.iterations;
   perf.converged = sol.converged;
 
@@ -187,7 +191,7 @@ MmsPerformance extract_performance(const MmsModel& model,
   double switch_residence = 0.0;  // per-cycle time on switches (Eq. 1 numerator)
   double memory_residence = 0.0;  // per-cycle time at memories (= L_obs)
   double max_switch_util = 0.0;
-  for (int n = 0; n < P; ++n) {
+  for (int n = 0; n < static_cast<int>(net.num_stations() / 4); ++n) {
     const PeStations st = MmsModel::stations(n);
     memory_residence +=
         net.visit_ratio(cls, st.memory) * sol.waiting(cls, st.memory);
@@ -206,6 +210,75 @@ MmsPerformance extract_performance(const MmsModel& model,
                             static_cast<double>(cfg.memory_ports);
   perf.switch_utilization = max_switch_util;
   return perf;
+}
+
+/// How the measures-only entry points solve a config (DESIGN.md §2.3).
+enum class Reduction {
+  kNone,       ///< the full P-class network
+  kComponent,  ///< p_remote = 0: node 0's processor and memory alone
+  kOrbits,     ///< translation-symmetric: class 0's row, 4 station orbits
+};
+
+/// With p_remote = 0 and no open arrivals each class visits only its own
+/// processor and memory, so the machine is P identical, independent
+/// 2-station networks, whatever the topology. On a torus, ring or
+/// hypercube without a hotspot, node translations carry every class's
+/// row onto class 0's, so every station of one PE type holds the same
+/// total: the sum of class 0's queues over that type. Both reductions
+/// need an AMVA-first chain, the only kernel that reads an orbit map.
+Reduction reduction_for(const MmsConfig& config,
+                        const qn::RobustOptions& options) {
+  if (options.chain.empty() || options.chain.front() != qn::SolverKind::kAmva ||
+      config.open_arrival_rate > 0.0) {
+    return Reduction::kNone;
+  }
+  if (config.p_remote == 0.0) return Reduction::kComponent;
+  const topo::TrafficConfig& t = config.traffic;
+  const bool hotspot = t.hotspot_node >= 0 && t.hotspot_fraction > 0.0;
+  return config.topology == topo::TopologyKind::kMesh2D || hotspot
+             ? Reduction::kNone
+             : Reduction::kOrbits;
+}
+
+/// Class 0's row of the full network, one station orbit per PE type.
+qn::ClosedNetwork class0_network(const MmsModel& model) {
+  const MmsConfig& config = model.config();
+  qn::ClosedNetwork net(
+      make_station_list(config, model.topology().num_nodes()), 1);
+  fill_class(net, 0, config, model.class_visits(0));
+  std::vector<std::uint32_t> orbit(net.num_stations());
+  for (std::size_t m = 0; m < orbit.size(); ++m) {
+    orbit[m] = static_cast<std::uint32_t>(m % 4);
+  }
+  net.set_station_orbits(std::move(orbit));
+  return net;
+}
+
+/// Node 0's stations with class 0 visiting its processor and memory once
+/// per cycle: one component of a p_remote = 0 machine.
+qn::ClosedNetwork component_network(const MmsConfig& config) {
+  qn::ClosedNetwork net(make_station_list(config, 1), 1);
+  const PeStations home = MmsModel::stations(0);
+  std::vector<double> v(4, 0.0);
+  v[home.processor] = 1.0;
+  v[home.memory] = 1.0;
+  fill_class(net, 0, config, v);
+  return net;
+}
+
+}  // namespace
+
+MmsPerformance extract_performance(const MmsModel& model,
+                                   const qn::ClosedNetwork& net,
+                                   const qn::MvaSolution& sol, int node) {
+  const MmsConfig& cfg = model.config();
+  const int P = model.topology().num_nodes();
+  LATOL_REQUIRE(node >= 0 && node < P, "node " << node);
+  return node_measures(cfg,
+                       P >= 2 && cfg.p_remote > 0.0
+                           ? model.traffic().average_distance_from(node)
+                           : 0.0,
+                       net, sol, node);
 }
 
 namespace {
@@ -295,33 +368,44 @@ std::vector<MmsPerformance> analyze_per_node(const MmsConfig& config,
 }
 
 DetailedAnalysis analyze_detailed(const MmsConfig& config,
-                                  const qn::AmvaOptions& options) {
+                                  const qn::RobustOptions& options) {
   const MmsModel model(config);
   qn::ClosedNetwork net = model.build_network();
-  qn::RobustOptions ropts;
-  ropts.amva = options;
-  ropts.record_traces = options.record_trace;
-  SolvedMms solved = solve_mms(model, net, ropts);
-  MmsPerformance perf = extract_performance(model, net, solved.report.solution);
-  stamp_provenance(perf, solved.report);
-  stamp_open(perf, solved, 0);
-  return DetailedAnalysis{perf, std::move(net),
-                          std::move(solved.report.solution)};
-}
-
-RobustAnalysis analyze_robust(const MmsConfig& config,
-                              const qn::RobustOptions& options) {
-  const MmsModel model(config);
-  const qn::ClosedNetwork net = model.build_network();
   SolvedMms solved = solve_mms(model, net, options);
   MmsPerformance perf = extract_performance(model, net, solved.report.solution);
   stamp_provenance(perf, solved.report);
   stamp_open(perf, solved, 0);
-  return RobustAnalysis{std::move(perf), std::move(solved.report)};
+  return DetailedAnalysis{perf, std::move(net), std::move(solved.report)};
+}
+
+RobustAnalysis analyze_robust(const MmsConfig& config,
+                              const qn::RobustOptions& options) {
+  const Reduction reduction = reduction_for(config, options);
+  if (reduction == Reduction::kNone) {
+    DetailedAnalysis full = analyze_detailed(config, options);
+    return RobustAnalysis{std::move(full.perf), std::move(full.report)};
+  }
+  config.validate();
+  std::optional<MmsModel> model;
+  if (reduction == Reduction::kOrbits) model.emplace(config);
+  const qn::ClosedNetwork net =
+      model ? class0_network(*model) : component_network(config);
+  qn::RobustOptions ropts = options;
+  ropts.expand = [&config] { return MmsModel(config).build_network(); };
+  qn::SolveReport report = robust_solve_or_throw(net, ropts);
+  const bool full = report.solver != qn::SolverKind::kAmva;
+  MmsPerformance perf = node_measures(
+      config, model ? model->traffic().average_distance_from(0) : 0.0,
+      full ? *report.expanded : net, report.solution, 0);
+  stamp_provenance(perf, report);
+  return RobustAnalysis{std::move(perf), std::move(report)};
 }
 
 MmsPerformance analyze(const MmsConfig& config, const qn::AmvaOptions& options) {
-  return analyze_detailed(config, options).perf;
+  qn::RobustOptions ropts;
+  ropts.amva = options;
+  ropts.record_traces = options.record_trace;
+  return analyze_robust(config, ropts).perf;
 }
 
 const char* solve_method_name(SolveMethod method) {
@@ -353,8 +437,6 @@ MmsPerformance analyze(const MmsConfig& config,
     hopts.tolerance = std::max(options.amva.tolerance, 1e-14);
     return analyze_hierarchical(config, hopts);
   }
-  const MmsModel model(config);
-  const qn::ClosedNetwork net = model.build_network();
   qn::RobustOptions ropts;
   if (options.method == SolveMethod::kLinearizer) {
     ropts.chain = {qn::SolverKind::kLinearizer, qn::SolverKind::kAmva,
@@ -364,13 +446,10 @@ MmsPerformance analyze(const MmsConfig& config,
   ropts.amva = options.amva;
   ropts.record_traces = options.amva.record_trace;
   ropts.hints = options.hints;
-  SolvedMms solved = solve_mms(model, net, ropts);
-  MmsPerformance perf = extract_performance(model, net, solved.report.solution);
-  stamp_provenance(perf, solved.report);
-  stamp_open(perf, solved, 0);
+  RobustAnalysis solved = analyze_robust(config, ropts);
   if (options.solution_out != nullptr)
     *options.solution_out = std::move(solved.report.solution);
-  return perf;
+  return solved.perf;
 }
 
 }  // namespace latol::core

@@ -150,8 +150,9 @@ struct AnalysisOptions {
   /// outlive the call. nullptr keeps the plain kernels, bit-identical to
   /// earlier releases.
   const qn::SolveHints* hints = nullptr;
-  /// When non-null, receives the raw accepted closed-network solution —
-  /// the sweep engine chains it into the next lattice point's hint.
+  /// When non-null, receives the raw accepted closed-network solution (of
+  /// class 0's reduction when one applied) — the sweep engine chains it
+  /// into the next lattice point's hint.
   /// Left empty by the hierarchical method (it never materializes a
   /// full multi-class solution).
   qn::MvaSolution* solution_out = nullptr;
@@ -163,18 +164,25 @@ struct AnalysisOptions {
 /// under the SPMD assumption). A degraded answer is flagged in
 /// MmsPerformance::degraded/solver; throws qn::SolverError only when even
 /// the full fallback chain produced nothing.
+///
+/// With an AMVA-first chain and no open arrivals the kernel iterates class
+/// 0 alone (DESIGN.md §2.3): node 0's processor and memory when p_remote
+/// = 0, and class 0's row with one station orbit per PE type on a torus,
+/// ring or hypercube without a hotspot. A failed reduced AMVA re-solves
+/// the full network through the rest of the chain.
 [[nodiscard]] MmsPerformance analyze(const MmsConfig& config,
                                      const qn::AmvaOptions& options = {});
 
 /// Full-control variant: solve with an explicit fallback chain and hand
 /// back the complete SolveReport (per-attempt diagnostics, residual, wall
-/// time) alongside the derived measures.
+/// time) alongside the derived measures. The report's solution is of the
+/// network that answered: class 0's reduction when one applied.
 struct RobustAnalysis {
   MmsPerformance perf;
   qn::SolveReport report;
 };
-/// Solve `config` through the qn::robust_solve fallback chain and return
-/// the performance measures with the full per-attempt report.
+/// Solve `config` through the qn::robust_solve fallback chain, reduced as
+/// `analyze` is, and return the measures with the full per-attempt report.
 [[nodiscard]] RobustAnalysis analyze_robust(const MmsConfig& config,
                                             const qn::RobustOptions& options = {});
 
@@ -182,17 +190,17 @@ struct RobustAnalysis {
 [[nodiscard]] MmsPerformance analyze(const MmsConfig& config,
                                      const AnalysisOptions& options);
 
-/// As `analyze`, but also hands back the network and the raw solution for
-/// callers that need station-level detail (tests, benches).
+/// As `analyze_robust`, but always on the full P-class network, handed
+/// back with the report for callers that need station-level detail.
 struct DetailedAnalysis {
   MmsPerformance perf;
   qn::ClosedNetwork network;
-  qn::MvaSolution solution;
+  qn::SolveReport report;  ///< report.solution is `network`'s solution
 };
-/// Solve `config` with AMVA and return the measures together with the
-/// network and raw solution.
+/// Solve MmsModel::build_network() for `config` through the fallback chain
+/// and return the measures together with the network and the report.
 [[nodiscard]] DetailedAnalysis analyze_detailed(
-    const MmsConfig& config, const qn::AmvaOptions& options = {});
+    const MmsConfig& config, const qn::RobustOptions& options = {});
 
 /// Extract MmsPerformance from an already-computed solution of the network
 /// built by MmsModel::build_network(), from the viewpoint of the threads

@@ -30,9 +30,14 @@ namespace {
 // flushes) and load() accepts either layout at `path`.
 // Keys moved to the field table's names (`topology=` for `topo=`) with no
 // bump: files of another build are ignored by version anyway, and no old
-// key equals a new one.
-constexpr const char* kCacheFormat = "latol-solve-cache-4";
-constexpr const char* kInlineCacheFormat = "latol-solve-cache-3";
+// key equals a new one. Both layouts moved on (inline -5, sharded -6, so
+// neither string names an older file of the other layout) when symmetric
+// and p_remote = 0 points began solving class 0 alone: their numbers
+// moved in the last bits, and the version gate cannot see that:
+// build_version() is `unknown` outside git, and a configure-time `-dirty`
+// string survives rebuilds.
+constexpr const char* kCacheFormat = "latol-solve-cache-6";
+constexpr const char* kInlineCacheFormat = "latol-solve-cache-5";
 
 // Routing hash for shard selection. Only load balance depends on it —
 // correctness never does (keys are compared as full strings within a
@@ -311,8 +316,8 @@ std::size_t SolveCache::load(const std::string& path,
           }
         }
       };
-  // `path` is either a sharded index naming per-shard files (format -4)
-  // or a self-contained inline-entries file (format -3, what a
+  // `path` is either a sharded index naming per-shard files (format -6)
+  // or a self-contained inline-entries file (format -5, what a
   // single-shard cache writes); anything else is left alone.
   std::vector<std::string> shard_files;
   try {

@@ -9,6 +9,7 @@ namespace latol::qn {
 
 ConvolutionSolution solve_convolution(const ClosedNetwork& net) {
   net.validate();
+  net.require_no_orbits("convolution");
   LATOL_REQUIRE(net.num_classes() == 1,
                 "convolution solver handles single-class networks; got "
                     << net.num_classes() << " classes");

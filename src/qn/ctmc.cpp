@@ -72,6 +72,7 @@ MvaSolution solve_ctmc(const ClosedNetwork& net,
                        const RoutedClosedNetwork& routed,
                        const CtmcOptions& options) {
   net.validate();
+  net.require_no_orbits("the CTMC solver");
   LATOL_REQUIRE(net.is_product_form(),
                 "CTMC solver requires class-independent service at shared "
                 "FCFS stations (the count process is otherwise not Markov)");

@@ -79,7 +79,7 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
   // station_queue() sum.
   for (std::size_t c = 0; c < C; ++c) {
     for (std::size_t i = ws.first[c]; i < ws.first[c + 1]; ++i) {
-      ws.station_total[ws.station[i]] += ws.queue[i];
+      ws.station_total[ws.orbit[i]] += ws.queue[i];
     }
   }
 
@@ -107,7 +107,7 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
         double w = ws.service[i];
         if (ws.queueing[i] != 0) {
           const double q = ws.queue[i];
-          const double seen = ws.station_total[ws.station[i]] - q +
+          const double seen = ws.station_total[ws.orbit[i]] - q +
                               self_seen * q;
           w = ws.seidmann_fixed[i] + ws.seidmann_rate[i] * (1.0 + seen);
         }
@@ -142,7 +142,7 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
                                 std::to_string(iter));
         }
         delta = std::max(delta, std::fabs(updated - ws.queue[i]));
-        ws.station_total[ws.station[i]] += updated - ws.queue[i];
+        ws.station_total[ws.orbit[i]] += updated - ws.queue[i];
         ws.queue[i] = updated;
       }
     }
@@ -194,7 +194,6 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
 
   ws.bind(net);
   const std::size_t C = ws.num_classes();
-  const std::size_t S = ws.num_stations();
   const std::size_t slots = ws.num_slots();
 
   if (!seed_queue_from_prior(ws, hints.prior)) {
@@ -234,10 +233,10 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
     // hints merge bitwise once they meet — what lets a positive
     // stagnation_budget drive differently-seeded solves to near-identical
     // answers (qn/hints.hpp).
-    std::fill(ws.station_total.begin(), ws.station_total.begin() + S, 0.0);
+    std::fill(ws.station_total.begin(), ws.station_total.end(), 0.0);
     for (std::size_t c = 0; c < C; ++c) {
       for (std::size_t i = ws.first[c]; i < ws.first[c + 1]; ++i) {
-        ws.station_total[ws.station[i]] += ws.queue[i];
+        ws.station_total[ws.orbit[i]] += ws.queue[i];
       }
     }
 
@@ -255,7 +254,7 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
         double w = ws.service[i];
         if (ws.queueing[i] != 0) {
           const double q = ws.queue[i];
-          const double seen = ws.station_total[ws.station[i]] - q +
+          const double seen = ws.station_total[ws.orbit[i]] - q +
                               self_seen * q;
           w = ws.seidmann_fixed[i] + ws.seidmann_rate[i] * (1.0 + seen);
         }
@@ -284,7 +283,7 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
                                 std::to_string(iter));
         }
         delta = std::max(delta, std::fabs(updated - ws.queue[i]));
-        ws.station_total[ws.station[i]] += updated - ws.queue[i];
+        ws.station_total[ws.orbit[i]] += updated - ws.queue[i];
         ws.queue[i] = updated;
       }
     }
@@ -342,10 +341,10 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
   // the orbit's history into the output. Re-derive waiting and throughput
   // from the final queue vector alone (Jacobi-style, one pass, no queue
   // update) so every reported field is a pure function of Q*.
-  std::fill(ws.station_total.begin(), ws.station_total.begin() + S, 0.0);
+  std::fill(ws.station_total.begin(), ws.station_total.end(), 0.0);
   for (std::size_t c = 0; c < C; ++c) {
     for (std::size_t i = ws.first[c]; i < ws.first[c + 1]; ++i) {
-      ws.station_total[ws.station[i]] += ws.queue[i];
+      ws.station_total[ws.orbit[i]] += ws.queue[i];
     }
   }
   for (std::size_t c = 0; c < C; ++c) {
@@ -358,7 +357,7 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
       if (ws.queueing[i] != 0) {
         const double q = ws.queue[i];
         const double seen =
-            ws.station_total[ws.station[i]] - q + self_seen * q;
+            ws.station_total[ws.orbit[i]] - q + self_seen * q;
         w = ws.seidmann_fixed[i] + ws.seidmann_rate[i] * (1.0 + seen);
       }
       ws.waiting[i] = w;

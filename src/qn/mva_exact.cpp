@@ -23,6 +23,7 @@ MvaSolution solve_mva_exact(const ClosedNetwork& net, std::size_t max_states,
                             std::size_t workers,
                             const util::CancelToken* cancel) {
   net.validate();
+  net.require_no_orbits("exact MVA");
   LATOL_REQUIRE(net.is_product_form(),
                 "exact MVA requires class-independent service times at "
                 "shared FCFS stations");

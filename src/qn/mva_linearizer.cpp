@@ -285,6 +285,7 @@ MvaSolution solve_linearizer(const ClosedNetwork& net,
                              const LinearizerOptions& options,
                              SolverWorkspace& ws) {
   net.validate();
+  net.require_no_orbits("the Linearizer");
   LATOL_REQUIRE(options.outer_iterations >= 1,
                 "outer_iterations " << options.outer_iterations);
   LATOL_REQUIRE(options.divergence_factor > 0.0,
@@ -360,6 +361,7 @@ MvaSolution solve_linearizer(const ClosedNetwork& net,
                              const LinearizerOptions& options,
                              SolverWorkspace& ws, const SolveHints& hints) {
   net.validate();
+  net.require_no_orbits("the Linearizer");
   LATOL_REQUIRE(options.outer_iterations >= 1,
                 "outer_iterations " << options.outer_iterations);
   LATOL_REQUIRE(options.divergence_factor > 0.0,

@@ -1,5 +1,6 @@
 #include "qn/network.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -86,6 +87,29 @@ bool ClosedNetwork::is_product_form(double rel_tol) const {
     }
   }
   return true;
+}
+
+void ClosedNetwork::set_station_orbits(std::vector<std::uint32_t> orbit) {
+  LATOL_REQUIRE(orbit.size() == num_stations(),
+                orbit.size() << " orbit ids for " << num_stations()
+                             << " stations");
+  std::vector<bool> used(orbit.size(), false);
+  std::size_t distinct = 0;
+  std::size_t top = 0;
+  for (const std::uint32_t o : orbit) {
+    LATOL_REQUIRE(o < orbit.size(), "orbit id " << o);
+    distinct += used[o] ? 0 : 1;
+    used[o] = true;
+    top = std::max<std::size_t>(top, o);
+  }
+  LATOL_REQUIRE(top + 1 == distinct, "orbit ids must be dense from 0");
+  orbit_ = std::move(orbit);
+  orbits_ = distinct;
+}
+
+void ClosedNetwork::require_no_orbits(const char* solver) const {
+  LATOL_REQUIRE(!has_orbits(), solver << " does not read a station-orbit "
+                                         "map; solve the full network");
 }
 
 void ClosedNetwork::validate() const {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,28 @@ class ClosedNetwork {
   /// condition under which MVA is exact for this network.
   [[nodiscard]] bool is_product_form(double rel_tol = 1e-12) const;
 
+  /// Station-orbit map (DESIGN.md §10): `orbit[m]` names the orbit of
+  /// station m, ids dense from 0. A network with a map is a symmetry
+  /// reduction that lists one representative class per class orbit: the
+  /// queue total a station shows every class is the sum of the listed
+  /// classes' queues over all stations of its orbit. The default, no map,
+  /// is the identity (every station its own orbit). Throws
+  /// InvalidArgument on a size mismatch or a gap in the ids.
+  void set_station_orbits(std::vector<std::uint32_t> orbit);
+  [[nodiscard]] bool has_orbits() const { return !orbit_.empty(); }
+  /// Orbit of station m; m itself without a map.
+  [[nodiscard]] std::size_t station_orbit(std::size_t m) const {
+    return orbit_.empty() ? m : orbit_[m];
+  }
+  [[nodiscard]] std::size_t num_orbits() const {
+    return orbit_.empty() ? num_stations() : orbits_;
+  }
+
+  /// Throws InvalidArgument when the network carries an orbit map: every
+  /// solver but the AMVA kernels calls this, since it would read a
+  /// reduced network as a full one.
+  void require_no_orbits(const char* solver) const;
+
   /// Throws InvalidArgument unless populations are non-negative, at least
   /// one class has customers, and every class with customers has positive
   /// total demand.
@@ -87,6 +110,8 @@ class ClosedNetwork {
 
  private:
   std::vector<Station> stations_;
+  std::vector<std::uint32_t> orbit_;  // empty: the identity
+  std::size_t orbits_ = 0;
   std::vector<long> population_;
   util::Matrix visits_;   // classes x stations
   util::Matrix service_;  // classes x stations

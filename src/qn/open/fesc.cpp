@@ -11,6 +11,7 @@
 namespace latol::qn {
 
 FescTable build_fesc(const ClosedNetwork& sub, long max_population) {
+  sub.require_no_orbits("FESC");
   LATOL_REQUIRE(sub.num_classes() == 1,
                 "build_fesc needs a single-class subnetwork, got "
                     << sub.num_classes() << " classes");
@@ -76,6 +77,7 @@ TwoLevelSolution solve_two_level(const ClosedNetwork& net,
                                      << " flags for " << net.num_stations()
                                      << " stations");
   net.validate();
+  net.require_no_orbits("FESC");
 
   const std::size_t stations = net.num_stations();
   std::vector<std::size_t> sub_idx;

@@ -10,6 +10,7 @@ namespace latol::qn {
 
 MixedReport solve_mixed(const ClosedNetwork& closed, const OpenNetwork& open,
                         const RobustOptions& options) {
+  closed.require_no_orbits("the mixed solver");
   const std::size_t stations = closed.num_stations();
   LATOL_REQUIRE(open.num_stations() == stations,
                 "mixed network station counts differ: closed has "

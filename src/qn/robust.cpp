@@ -98,8 +98,10 @@ double fixed_point_residual(const ClosedNetwork& net, const MvaSolution& sol) {
   const std::size_t M = net.num_stations();
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  std::vector<double> station_total(M, 0.0);
-  for (std::size_t m = 0; m < M; ++m) station_total[m] = sol.station_queue(m);
+  // Queue totals per orbit (per station under the identity map).
+  std::vector<double> orbit_total(net.num_orbits(), 0.0);
+  for (std::size_t m = 0; m < M; ++m)
+    orbit_total[net.station_orbit(m)] += sol.station_queue(m);
 
   double residual = 0.0;
   for (std::size_t c = 0; c < C; ++c) {
@@ -114,7 +116,8 @@ double fixed_point_residual(const ClosedNetwork& net, const MvaSolution& sol) {
       const double s = net.service_time(c, m);
       double w = s;
       if (net.station(m).kind == StationKind::kQueueing) {
-        const double seen = station_total[m] - sol.queue_length(c, m) +
+        const double seen = orbit_total[net.station_orbit(m)] -
+                            sol.queue_length(c, m) +
                             ((nc - 1.0) / nc) * sol.queue_length(c, m);
         const auto servers = static_cast<double>(net.station(m).servers);
         w = s * (servers - 1.0) / servers + (s / servers) * (1.0 + seen);
@@ -177,11 +180,15 @@ InvariantReport check_invariants(const ClosedNetwork& net,
   }
 
   // Visit-ratio / flow-balance consistency: the reported utilization of
-  // every station must equal the throughput-weighted demand through it.
+  // every station must equal the throughput-weighted demand through its
+  // orbit (through the station itself under the identity map).
+  std::vector<double> orbit_util(net.num_orbits(), 0.0);
   for (std::size_t m = 0; m < M; ++m) {
-    double u = 0.0;
     for (std::size_t c = 0; c < C; ++c)
-      u += sol.throughput[c] * net.demand(c, m);
+      orbit_util[net.station_orbit(m)] += sol.throughput[c] * net.demand(c, m);
+  }
+  for (std::size_t m = 0; m < M; ++m) {
+    const double u = orbit_util[net.station_orbit(m)];
     report.flow_balance_error =
         join(report.flow_balance_error,
              std::fabs(u - sol.utilization[m]) / std::max(1.0, std::fabs(u)));
@@ -205,6 +212,7 @@ InvariantReport check_invariants(const ClosedNetwork& net,
 
 MvaSolution bounds_solution(const ClosedNetwork& net) {
   net.validate();
+  net.require_no_orbits("bounds");
   const std::size_t C = net.num_classes();
   const std::size_t M = net.num_stations();
 
@@ -309,6 +317,7 @@ SolveReport robust_solve(const ClosedNetwork& net,
   // a deadline would defeat its purpose.
   const util::CancelToken* cancel = options.amva.cancel;
   bool deadline_hit = false;
+  const ClosedNetwork* answered = &net;
   for (const SolverKind link : options.chain) {
     // One span per chain link, named like its timer ("qn.solver.amva",
     // ...); fallback hops show up in the trace as sibling attempt spans.
@@ -326,40 +335,47 @@ SolveReport robust_solve(const ClosedNetwork& net,
                           std::string("deadline expired before ") +
                               solver_kind_name(link) + " attempt");
       }
+      // Only AMVA reads an orbit map: every other link solves the full
+      // network behind a reduced `net`, built on first use.
+      if (link != SolverKind::kAmva && options.expand && !report.expanded)
+        report.expanded = options.expand();
+      const ClosedNetwork& target =
+          link == SolverKind::kAmva || !report.expanded ? net
+                                                        : *report.expanded;
       MvaSolution sol;
       bool skipped = false;
       switch (link) {
         case SolverKind::kAmva: {
           AmvaOptions amva = options.amva;
           amva.trace = options.record_traces ? &attempt.trace : nullptr;
-          sol = options.hints != nullptr ? solve_amva(net, amva,
+          sol = options.hints != nullptr ? solve_amva(target, amva,
                                                      *options.hints)
-                                         : solve_amva(net, amva);
+                                         : solve_amva(target, amva);
           break;
         }
         case SolverKind::kLinearizer: {
           LinearizerOptions lin = options.linearizer;
           lin.trace = options.record_traces ? &attempt.trace : nullptr;
           if (lin.cancel == nullptr) lin.cancel = cancel;
-          sol = options.hints != nullptr ? solve_linearizer(net, lin,
+          sol = options.hints != nullptr ? solve_linearizer(target, lin,
                                                             *options.hints)
-                                         : solve_linearizer(net, lin);
+                                         : solve_linearizer(target, lin);
           break;
         }
         case SolverKind::kExactMva: {
           const std::string gate =
-              exact_mva_gate(net, options.exact_max_states);
+              exact_mva_gate(target, options.exact_max_states);
           if (!gate.empty()) {
             attempt.detail = "skipped: " + gate;
             skipped = true;
             break;
           }
-          sol = solve_mva_exact(net, options.exact_max_states,
+          sol = solve_mva_exact(target, options.exact_max_states,
                                 /*workers=*/0, cancel);
           break;
         }
         case SolverKind::kBounds:
-          sol = bounds_solution(net);
+          sol = bounds_solution(target);
           break;
         case SolverKind::kFesc:
           // The hierarchical solver has its own entry point
@@ -387,6 +403,7 @@ SolveReport robust_solve(const ClosedNetwork& net,
                                 " produced non-finite results");
         }
         attempt.success = true;
+        answered = &target;
         report.solution = std::move(sol);
         report.solver = link;
         report.degraded = link != options.chain.front();
@@ -432,8 +449,12 @@ SolveReport robust_solve(const ClosedNetwork& net,
     obs::count("qn.robust.failed");
     if (deadline_hit) obs::count("qn.robust.deadline");
   } else {
-    report.residual = fixed_point_residual(net, report.solution);
-    report.invariants = check_invariants(net, report.solution);
+    report.residual = fixed_point_residual(*answered, report.solution);
+    report.invariants = check_invariants(*answered, report.solution);
+    // How many classes the answering kernel iterated: 1 for class 0's
+    // reduction, P for a full MMS network.
+    solve_span.arg("classes", static_cast<double>(answered->num_classes()));
+    if (answered == &net && options.expand) obs::count("qn.robust.reduced");
     if (report.degraded) obs::count("qn.robust.degraded");
     if (!report.invariants.warnings.empty())
       obs::count("qn.invariant.warnings", report.invariants.warnings.size());

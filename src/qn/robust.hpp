@@ -17,6 +17,7 @@
 // results instead of aborting or lying.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -79,6 +80,12 @@ struct RobustOptions {
   /// outlive the call. nullptr (the default) keeps every link on the
   /// plain kernels, bit-identical to earlier releases.
   const SolveHints* hints = nullptr;
+  /// Set when the network handed to robust_solve() is a reduction of a
+  /// larger one — class 0's row of a symmetric machine, say (DESIGN.md
+  /// §2.3): builds that full network. AMVA links solve the reduction; every
+  /// other link solves the full network, built on first use, so a failed
+  /// reduced AMVA degrades exactly as a failed full one would.
+  std::function<ClosedNetwork()> expand;
 };
 
 /// One link of the chain, as it actually went.
@@ -165,6 +172,10 @@ struct SolveReport {
   InvariantReport invariants;
   /// Set when no link produced an answer; `solution` is then meaningless.
   std::optional<SolverErrorCode> error;
+  /// The full network RobustOptions::expand built for a non-AMVA link,
+  /// when one ran. It is the network `solution` belongs to when such a
+  /// link answered (solver != kAmva).
+  std::optional<ClosedNetwork> expanded;
 
   [[nodiscard]] bool ok() const { return !error.has_value(); }
 

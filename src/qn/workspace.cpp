@@ -31,6 +31,11 @@ void SolverWorkspace::bind(const ClosedNetwork& net) {
   seidmann_rate.resize(slots);
   queueing.resize(slots);
   slot_class.resize(slots);
+  orbit.resize(slots);
+  station_orbit.resize(M);
+  for (std::size_t m = 0; m < M; ++m) {
+    station_orbit[m] = static_cast<std::uint32_t>(net.station_orbit(m));
+  }
   population.resize(C);
   population_f.resize(C);
   total_demand.resize(C);
@@ -46,6 +51,7 @@ void SolverWorkspace::bind(const ClosedNetwork& net) {
       const double s = net.service_time(c, m);
       station[slot] = static_cast<std::uint32_t>(m);
       slot_class[slot] = static_cast<std::uint32_t>(c);
+      orbit[slot] = station_orbit[m];
       visit[slot] = v;
       service[slot] = s;
       demand[slot] = v * s;
@@ -86,7 +92,7 @@ void SolverWorkspace::bind(const ClosedNetwork& net) {
 
   queue.assign(slots, 0.0);
   waiting.assign(slots, 0.0);
-  station_total.assign(M, 0.0);
+  station_total.assign(net.num_orbits(), 0.0);
   throughput.assign(C, 0.0);
 }
 
@@ -97,17 +103,21 @@ MvaSolution SolverWorkspace::scatter_solution() const {
   sol.throughput.assign(C, 0.0);
   sol.waiting = util::Matrix(C, M, 0.0);
   sol.queue_length = util::Matrix(C, M, 0.0);
-  sol.utilization.assign(M, 0.0);
+  std::vector<double> orbit_util(station_total.size(), 0.0);
   for (std::size_t c = 0; c < C; ++c) {
     sol.throughput[c] = throughput[c];
     for (std::size_t i = first[c]; i < first[c + 1]; ++i) {
       const std::size_t m = station[i];
       sol.waiting(c, m) = waiting[i];
       sol.queue_length(c, m) = queue[i];
-      // Classes accumulate in increasing c for every station (the outer
+      // Classes accumulate in increasing c for every orbit (the outer
       // loop order), replaying the dense utilization sum exactly.
-      sol.utilization[m] += throughput[c] * demand[i];
+      orbit_util[orbit[i]] += throughput[c] * demand[i];
     }
+  }
+  sol.utilization.resize(M);
+  for (std::size_t m = 0; m < M; ++m) {
+    sol.utilization[m] = orbit_util[station_orbit[m]];
   }
   return sol;
 }

@@ -52,8 +52,9 @@ class SolverWorkspace {
   /// Materialize the dense MvaSolution from the per-slot iterate state
   /// (`waiting`, `queue`, per-class `throughput`): scatters the compact
   /// arrays back into class x station matrices and accumulates
-  /// per-station utilization in class order, exactly as the dense
-  /// solvers did. `iterations`/`converged` are left at their defaults
+  /// utilization per orbit in class order — per station, exactly as the
+  /// dense solvers did, under the identity map — giving every station
+  /// its orbit's. `iterations`/`converged` are left at their defaults
   /// for the caller to fill.
   [[nodiscard]] MvaSolution scatter_solution() const;
 
@@ -84,6 +85,12 @@ class SolverWorkspace {
   std::vector<std::uint8_t> queueing;
   /// Class index of each slot (the inverse of `first`).
   std::vector<std::uint32_t> slot_class;
+  /// Orbit of each slot's station (ClosedNetwork::station_orbit): the
+  /// index of the `station_total` entry the AMVA kernels read and keep
+  /// for the slot. Equal to `station` under the identity map.
+  std::vector<std::uint32_t> orbit;
+  /// Orbit of each station; size stations.
+  std::vector<std::uint32_t> station_orbit;
   /// Station-major transpose: station m's visiting slots are
   /// by_station_slot[by_station_first[m] .. by_station_first[m+1]), in
   /// increasing class order — the order the dense kernels summed classes
@@ -105,8 +112,9 @@ class SolverWorkspace {
   std::vector<double> queue;
   /// Per-slot residence-time iterate w_{c,m}.
   std::vector<double> waiting;
-  /// Per-station total queue length (maintained incrementally by the
-  /// AMVA Gauss–Seidel sweep).
+  /// Per-orbit total queue length, one entry per orbit (per station
+  /// under the identity map), maintained incrementally by the AMVA
+  /// Gauss–Seidel sweep.
   std::vector<double> station_total;
   /// Per-class throughput iterate.
   std::vector<double> throughput;

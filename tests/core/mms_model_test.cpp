@@ -105,8 +105,8 @@ TEST(MmsModel, AllLocalWorkloadUsesNoSwitches) {
 TEST(MmsModel, AnalyzeIsSymmetricAcrossClasses) {
   const auto detail = analyze_detailed(MmsConfig::paper_defaults());
   for (std::size_t c = 1; c < 16; ++c) {
-    EXPECT_NEAR(detail.solution.throughput[c], detail.solution.throughput[0],
-                1e-6);
+    EXPECT_NEAR(detail.report.solution.throughput[c],
+                detail.report.solution.throughput[0], 1e-6);
   }
 }
 
@@ -191,10 +191,10 @@ TEST(MmsModel, HotspotConcentratesMemoryLoad) {
   const auto detail = analyze_detailed(cfg);
   // The hotspot memory is the most utilized station of its kind.
   const double hot_util =
-      detail.solution.utilization[MmsModel::stations(0).memory];
+      detail.report.solution.utilization[MmsModel::stations(0).memory];
   for (int n = 1; n < 16; ++n) {
     EXPECT_GT(hot_util,
-              detail.solution.utilization[MmsModel::stations(n).memory]);
+              detail.report.solution.utilization[MmsModel::stations(n).memory]);
   }
 }
 

@@ -446,7 +446,7 @@ TEST(SolveCachePersistence, RejectsMalformedEntries) {
       (std::filesystem::temp_directory_path() / "latol_cache_bad.json")
           .string();
   io::Json doc = io::Json::object();
-  doc.set("format", "latol-solve-cache-3");
+  doc.set("format", "latol-solve-cache-5");
   doc.set("version", "v1");
   io::Json entry = io::Json::object();
   entry.set("key", "k");  // missing perf

@@ -8,8 +8,11 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/mms_config.hpp"
+#include "core/mms_model.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/solve_cache.hpp"
@@ -120,6 +123,50 @@ TEST(SolveCache, PreviousFormatGenerationIsIgnored) {
   EXPECT_EQ(cache.load(path, "v-test", &warning), 0u);
   EXPECT_TRUE(warning.empty());  // stale format is expected, not corrupt
   remove_cache_files(path);
+}
+
+TEST(SolveCache, FullSolveGenerationsAreIgnoredAndPointsSolveFresh) {
+  // Files the full-network kernel wrote, inline (-3) and sharded (-4),
+  // hold numbers class 0's reduction moves in the last bits: loading one
+  // ingests nothing, and the point solves fresh.
+  const std::pair<std::size_t, const char*> layouts[] = {
+      {1, "latol-solve-cache-3"}, {4, "latol-solve-cache-4"}};
+  for (const auto& [shards, old_format] : layouts) {
+    SCOPED_TRACE(old_format);
+    const std::string path = temp_path("latol_cache_old_generation.json");
+    std::vector<std::string> files{path};
+    for (std::size_t i = 0; i < shards; ++i)
+      files.push_back(path + ".shard" + std::to_string(i));
+    {
+      SolveCache cache(shards);
+      (void)cache.analyze(small_config(), {});
+      cache.save(path, "v-test");
+    }
+    for (const std::string& file : files) {
+      if (shards > 1 && file == path) continue;  // the index, below
+      if (!std::filesystem::exists(file)) continue;
+      io::Json doc = io::parse_json_file(file);
+      doc.set("format", old_format);
+      io::write_json_file(file, doc);
+    }
+    if (shards > 1) {
+      io::Json index = io::parse_json_file(path);
+      index.set("format", old_format);
+      io::write_json_file(path, index);
+    }
+    SolveCache warmed(shards);
+    std::string warning;
+    EXPECT_EQ(warmed.load(path, "v-test", &warning), 0u);
+    EXPECT_TRUE(warning.empty());
+    bool hit = true;
+    const core::MmsPerformance perf =
+        warmed.analyze(small_config(), {}, &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(warmed.misses(), 1u);
+    EXPECT_EQ(perf.processor_utilization,
+              core::analyze(small_config()).processor_utilization);
+    for (const std::string& file : files) std::filesystem::remove(file);
+  }
 }
 
 TEST(SolveCache, MismatchedVersionIsIgnoredWithoutWarning) {
