@@ -5,13 +5,15 @@ Usage: check_metrics.py <metrics.json>
        check_metrics.py --prom <metrics.txt>
 
 Checks the JSON written by `latol run/profile --metrics-out` (and the
-smaller `analyze`/`sweep` variants) against DESIGN.md §9. With --prom,
-checks a Prometheus text exposition scraped from the daemon's GET
-/metrics instead (DESIGN.md §11): well-formed sample lines, a # TYPE
-declaration per metric, counters named *_total / *_count, and the
-always-present serve gauges. Standard library only, so CI can run it
-without installing anything. Exits 0 when the document is valid, 1 with
-a list of violations otherwise.
+smaller `analyze`/`sweep` variants) against DESIGN.md §9; the run,
+profile and analyze documents carry the writer's own
+`process.peak_rss_kb`. With --prom, checks a Prometheus text exposition
+scraped from the daemon's GET /metrics instead (DESIGN.md §11):
+well-formed sample lines, a # TYPE declaration per metric, counters
+named *_total / *_count, and the always-present serve and process
+gauges. Standard library only, so CI can run it without installing
+anything. Exits 0 when the document is valid, 1 with a list of
+violations otherwise.
 """
 
 import json
@@ -59,8 +61,18 @@ def check_point(point, where):
         require(point, key, (int, float), where)
 
 
+def check_process(doc):
+    """`process.peak_rss_kb`: the writing process's own peak RSS."""
+    process = require(doc, "process", dict, "$")
+    if process is not None:
+        rss = require(process, "peak_rss_kb", int, "$.process")
+        if rss is not None and rss <= 0:
+            fail(f"$.process.peak_rss_kb: expected > 0, got {rss}")
+
+
 def check_scenario_doc(doc):
     """The full document of `latol run/profile --metrics-out`."""
+    check_process(doc)
     require(doc, "scenario", str, "$")
     require(doc, "scenario_hash", str, "$")
     require(doc, "build", str, "$")
@@ -143,6 +155,7 @@ def check_command_doc(doc, command):
     """The smaller documents of `latol analyze/sweep --metrics-out`."""
     require(doc, "build", str, "$")
     if command == "analyze":
+        check_process(doc)
         point = require(doc, "point", dict, "$")
         if point is not None:
             check_point(point, "$.point")
@@ -161,7 +174,8 @@ PROM_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 # emits.
 PROM_BUCKET = re.compile(
     r'^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)\{le="(?P<le>[^"]+)"\}$')
-PROM_REQUIRED = ["latol_serve_queue_depth", "latol_serve_in_flight"]
+PROM_REQUIRED = ["latol_serve_queue_depth", "latol_serve_in_flight",
+                 "latol_process_peak_rss_kb"]
 
 
 def parse_prom_value(text):

@@ -258,6 +258,7 @@ def main():
           and "latol_serve_request_latency_seconds_count" in text,
           "GET /metrics exposes the request-latency histogram")
     check("latol_process_uptime_seconds" in text
+          and "latol_process_peak_rss_kb" in text
           and "latol_serve_accepted_total" in text,
           "GET /metrics exposes process gauges and accept counters")
     if metrics_out:

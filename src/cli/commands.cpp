@@ -82,6 +82,14 @@ void write_json_artifact(const std::string& path, const io::Json& doc,
   out << "wrote " << what << " " << path << '\n';
 }
 
+/// The `process` object of the run manifest and the metrics documents:
+/// this process's own peak RSS so far.
+io::Json process_json() {
+  io::Json process = io::Json::object();
+  process.set("peak_rss_kb", static_cast<double>(obs::peak_rss_kb()));
+  return process;
+}
+
 /// One solve attempt (a link of the robust chain) as trace JSON.
 io::Json attempt_to_json(const qn::SolveAttempt& attempt) {
   io::Json o = io::Json::object();
@@ -106,9 +114,9 @@ void emit_scenario_instrumentation(const CliOptions& opts,
                                    const obs::Snapshot* snapshot,
                                    std::ostream& out) {
   if (!opts.metrics_path.empty()) {
-    write_json_artifact(opts.metrics_path,
-                        exp::metrics_to_json(scenario, run, snapshot),
-                        "metrics", out);
+    io::Json doc = exp::metrics_to_json(scenario, run, snapshot);
+    doc.set("process", process_json());
+    write_json_artifact(opts.metrics_path, doc, "metrics", out);
   }
   if (!opts.trace_path.empty()) {
     io::Json points = io::Json::array();
@@ -230,6 +238,7 @@ int cmd_analyze(const CliOptions& opts, std::ostream& out) {
     doc.set("build", exp::build_version());
     doc.set("point", std::move(point));
     doc.set("warnings", std::move(warnings));
+    doc.set("process", process_json());
     write_json_artifact(opts.metrics_path, doc, "metrics", out);
   }
   return warn_if_degraded(perf, "analyze", out);
@@ -591,8 +600,9 @@ int cmd_run(const CliOptions& opts, std::ostream& out) {
   }
   if (want_csv) out << "wrote " << base << ".csv\n";
   if (want_json) out << "wrote " << json_path << '\n';
-  io::write_json_file(base + ".manifest.json",
-                      exp::manifest_to_json(scenario, st));
+  io::Json manifest = exp::manifest_to_json(scenario, st);
+  manifest.set("process", process_json());
+  io::write_json_file(base + ".manifest.json", manifest);
   out << "wrote " << base << ".manifest.json\n";
   if (opts.run_cache) cache.save(cache_path, version);
   if (instrumented) {

@@ -102,6 +102,7 @@ std::vector<double> MmsModel::class_visits(int i) const {
   // Remote accesses: requests leave via the home outbound switch...
   if (config_.count_source_outbound) v[home.outbound] += p;
 
+  topo::InboundVisits route;  // one buffer for every destination's walk
   for (int dst = 0; dst < P; ++dst) {
     if (dst == i) continue;
     const double q = traffic().probability(i, dst);
@@ -111,12 +112,10 @@ std::vector<double> MmsModel::class_visits(int i) const {
     // ...responses leave via the destination's outbound switch...
     v[there.outbound] += p * q;
     // ...and both legs traverse one inbound switch per hop.
-    for (const auto& [node, w] : topology_->inbound_visits(i, dst)) {
-      v[stations(node).inbound] += p * q * w;
-    }
-    for (const auto& [node, w] : topology_->inbound_visits(dst, i)) {
-      v[stations(node).inbound] += p * q * w;
-    }
+    route.clear();
+    topology_->inbound_visits(i, dst, route);
+    topology_->inbound_visits(dst, i, route);
+    for (const auto& [node, w] : route) v[stations(node).inbound] += p * q * w;
   }
   return v;
 }
@@ -139,6 +138,7 @@ qn::OpenNetwork MmsModel::build_open_network() const {
                 "processing elements");
   qn::OpenNetwork open(make_station_list(config_, P),
                        static_cast<std::size_t>(P));
+  topo::InboundVisits route;  // one buffer for every route's walk
   for (int i = 0; i < P; ++i) {
     const auto c = static_cast<std::size_t>(i);
     open.set_arrival_rate(c, config_.open_arrival_rate);
@@ -160,7 +160,9 @@ qn::OpenNetwork MmsModel::build_open_network() const {
       const PeStations there = stations(dst);
       open.set_visit_ratio(c, there.memory,
                            open.visit_ratio(c, there.memory) + q);
-      for (const auto& [node, w] : topology_->inbound_visits(i, dst)) {
+      route.clear();
+      topology_->inbound_visits(i, dst, route);
+      for (const auto& [node, w] : route) {
         const std::size_t in = stations(node).inbound;
         open.set_visit_ratio(c, in, open.visit_ratio(c, in) + q * w);
       }

@@ -39,7 +39,10 @@ struct PeStations {
 /// Builds the CQN for an MmsConfig and maps nodes to station indices.
 class MmsModel {
  public:
-  /// Validates `config` and precomputes topology + traffic pattern.
+  /// Validates `config` and builds the topology. The traffic pattern is
+  /// not precomputed: its rows are built when first read, so class 0's
+  /// reduced solve touches row 0 alone. Reading fills rows, so a model is
+  /// not shared across threads.
   explicit MmsModel(const MmsConfig& config);
 
   [[nodiscard]] const MmsConfig& config() const { return config_; }
@@ -86,7 +89,7 @@ class MmsModel {
 /// Headline performance measures as seen from node 0 (class 0, its
 /// processor and memory). They describe the whole machine only under
 /// SPMD symmetry (vertex-transitive topology, no hotspot); on a mesh or
-/// with a hotspot they are node 0's view alone (ROADMAP item 2).
+/// with a hotspot they are node 0's view alone (ROADMAP item 1).
 struct MmsPerformance {
   double processor_utilization = 0;  ///< U_p = lambda * R (Eq. 3)
   double access_rate = 0;            ///< lambda_i: memory accesses per time unit

@@ -1,8 +1,11 @@
 #include "obs/registry.hpp"
 
+#include <sys/resource.h>
+
 #include <atomic>
 #include <charconv>
 #include <cmath>
+#include <fstream>
 
 namespace latol::obs {
 
@@ -103,6 +106,16 @@ void append_metric(std::string& out, const std::string& name,
 }
 
 }  // namespace
+
+long peak_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6));
+  }
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
 
 std::string to_prometheus(const Snapshot& snapshot, std::string_view prefix) {
   std::string out;

@@ -196,6 +196,12 @@ class Registry {
 [[nodiscard]] std::string to_prometheus(const Snapshot& snapshot,
                                         std::string_view prefix = "latol_");
 
+/// This process's own peak resident set size in kB (`process.peak_rss_kb`
+/// in the CLI's manifests and metrics documents and the daemon's gauges):
+/// `VmHWM` from /proc/self/status, or getrusage's ru_maxrss (kB on Linux)
+/// where /proc is absent.
+[[nodiscard]] long peak_rss_kb();
+
 /// The process-global registry; null (instrumentation off) until
 /// set_default_registry() installs one. Not owned.
 [[nodiscard]] Registry* default_registry();

@@ -679,6 +679,8 @@ HttpResponse Server::metrics_response() {
   registry_.gauge("serve.in_flight")
       .set(static_cast<double>(in_flight_.load(std::memory_order_relaxed)));
   registry_.gauge("process.uptime_seconds").set(seconds_since(started_at_));
+  registry_.gauge("process.peak_rss_kb")
+      .set(static_cast<double>(obs::peak_rss_kb()));
   const double hits = static_cast<double>(cache_.hits());
   const double misses = static_cast<double>(cache_.misses());
   registry_.gauge("serve.cache_entries")

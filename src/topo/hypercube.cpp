@@ -17,28 +17,34 @@ int Hypercube::distance(int a, int b) const {
   return std::popcount(static_cast<unsigned>(a ^ b));
 }
 
-std::vector<int> Hypercube::route(int src, int dst, bool, bool) const {
-  LATOL_REQUIRE(src >= 0 && src < num_nodes() && dst >= 0 &&
-                    dst < num_nodes(),
+namespace {
+
+/// Calls `enter(node)` for each node entered on the e-cube route
+/// src -> dst of a hypercube with `nodes` nodes.
+template <class Enter>
+void walk_route(int nodes, int src, int dst, const Enter& enter) {
+  LATOL_REQUIRE(src >= 0 && src < nodes && dst >= 0 && dst < nodes,
                 "nodes " << src << ',' << dst);
-  std::vector<int> nodes;
   int at = src;
-  for (int bit = 0; bit < dimension_; ++bit) {
-    const int mask = 1 << bit;
+  for (int mask = 1; mask < nodes; mask <<= 1) {
     if ((at & mask) != (dst & mask)) {
       at ^= mask;
-      nodes.push_back(at);
+      enter(at);
     }
   }
+}
+
+}  // namespace
+
+std::vector<int> Hypercube::route(int src, int dst, bool, bool) const {
+  std::vector<int> nodes;
+  walk_route(num_nodes(), src, dst, [&](int node) { nodes.push_back(node); });
   return nodes;
 }
 
-std::vector<std::pair<int, double>> Hypercube::inbound_visits(
-    int src, int dst) const {
-  std::vector<std::pair<int, double>> visits;
-  for (const int node : route(src, dst, true, true))
-    visits.emplace_back(node, 1.0);
-  return visits;
+void Hypercube::inbound_visits(int src, int dst, InboundVisits& out) const {
+  walk_route(num_nodes(), src, dst,
+             [&](int node) { out.emplace_back(node, 1.0); });
 }
 
 }  // namespace latol::topo

@@ -20,8 +20,7 @@ class Hypercube final : public Topology {
   [[nodiscard]] int distance(int a, int b) const override;
   [[nodiscard]] int max_distance() const override { return dimension_; }
   [[nodiscard]] bool is_vertex_transitive() const override { return true; }
-  [[nodiscard]] std::vector<std::pair<int, double>> inbound_visits(
-      int src, int dst) const override;
+  void inbound_visits(int src, int dst, InboundVisits& out) const override;
   [[nodiscard]] std::vector<int> route(int src, int dst, bool tie_a,
                                        bool tie_b) const override;
 

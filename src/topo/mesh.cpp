@@ -16,30 +16,37 @@ int Mesh2D::distance(int a, int b) const {
   return std::abs(x_of(a) - x_of(b)) + std::abs(y_of(a) - y_of(b));
 }
 
-std::vector<int> Mesh2D::route(int src, int dst, bool, bool) const {
-  LATOL_REQUIRE(src >= 0 && src < num_nodes() && dst >= 0 &&
-                    dst < num_nodes(),
+namespace {
+
+/// Calls `enter(node)` for each node entered on the X-then-Y route
+/// src -> dst of a side x side mesh.
+template <class Enter>
+void walk_route(int side, int src, int dst, const Enter& enter) {
+  LATOL_REQUIRE(src >= 0 && src < side * side && dst >= 0 &&
+                    dst < side * side,
                 "nodes " << src << ',' << dst);
-  std::vector<int> nodes;
-  int x = x_of(src), y = y_of(src);
-  const int dx = x_of(dst), dy = y_of(dst);
+  int x = src % side, y = src / side;
+  const int dx = dst % side, dy = dst / side;
   while (x != dx) {
     x += (dx > x) ? 1 : -1;
-    nodes.push_back(y * side_ + x);
+    enter(y * side + x);
   }
   while (y != dy) {
     y += (dy > y) ? 1 : -1;
-    nodes.push_back(y * side_ + x);
+    enter(y * side + x);
   }
+}
+
+}  // namespace
+
+std::vector<int> Mesh2D::route(int src, int dst, bool, bool) const {
+  std::vector<int> nodes;
+  walk_route(side_, src, dst, [&](int node) { nodes.push_back(node); });
   return nodes;
 }
 
-std::vector<std::pair<int, double>> Mesh2D::inbound_visits(int src,
-                                                           int dst) const {
-  std::vector<std::pair<int, double>> visits;
-  for (const int node : route(src, dst, true, true))
-    visits.emplace_back(node, 1.0);
-  return visits;
+void Mesh2D::inbound_visits(int src, int dst, InboundVisits& out) const {
+  walk_route(side_, src, dst, [&](int node) { out.emplace_back(node, 1.0); });
 }
 
 }  // namespace latol::topo

@@ -25,8 +25,7 @@ class Mesh2D final : public Topology {
   [[nodiscard]] bool is_vertex_transitive() const override {
     return side_ <= 2;  // a 1x1 or 2x2 mesh happens to be symmetric
   }
-  [[nodiscard]] std::vector<std::pair<int, double>> inbound_visits(
-      int src, int dst) const override;
+  void inbound_visits(int src, int dst, InboundVisits& out) const override;
   [[nodiscard]] std::vector<int> route(int src, int dst, bool tie_a,
                                        bool tie_b) const override;
 

@@ -17,45 +17,53 @@ int Ring::distance(int a, int b) const {
   return std::min(d, nodes_ - d);
 }
 
+namespace {
+
+/// The minimal step (+1 or -1) from src towards dst on a ring of n nodes,
+/// or 0 on a half-ring tie, where both directions are minimal.
+int minimal_step(int src, int dst, int n) {
+  const int forward = ((dst - src) % n + n) % n;
+  const int backward = n - forward;
+  if (forward == backward) return 0;
+  return forward < backward ? +1 : -1;
+}
+
+/// Calls `enter(node)` for each node entered stepping `step` from src to
+/// dst on a ring of n nodes.
+template <class Enter>
+void walk(int n, int src, int dst, int step, const Enter& enter) {
+  for (int at = src; at != dst;) {
+    at = ((at + step) % n + n) % n;
+    enter(at);
+  }
+}
+
+}  // namespace
+
 std::vector<int> Ring::route(int src, int dst, bool tie_a, bool) const {
   LATOL_REQUIRE(src >= 0 && src < nodes_ && dst >= 0 && dst < nodes_,
                 "nodes " << src << ',' << dst);
   std::vector<int> nodes;
-  if (src == dst) return nodes;
-  const int forward = ((dst - src) % nodes_ + nodes_) % nodes_;
-  const int backward = nodes_ - forward;
-  int step;
-  if (forward < backward) {
-    step = +1;
-  } else if (backward < forward) {
-    step = -1;
-  } else {
-    step = tie_a ? +1 : -1;
-  }
-  int at = src;
-  while (at != dst) {
-    at = ((at + step) % nodes_ + nodes_) % nodes_;
-    nodes.push_back(at);
-  }
+  const int step = minimal_step(src, dst, nodes_);
+  walk(nodes_, src, dst, step != 0 ? step : (tie_a ? +1 : -1),
+       [&](int node) { nodes.push_back(node); });
   return nodes;
 }
 
-std::vector<std::pair<int, double>> Ring::inbound_visits(int src,
-                                                         int dst) const {
-  std::vector<std::pair<int, double>> visits;
-  if (src == dst) return visits;
-  const int forward = ((dst - src) % nodes_ + nodes_) % nodes_;
-  const int backward = nodes_ - forward;
-  if (forward != backward) {
-    for (const int node : route(src, dst, true, true))
-      visits.emplace_back(node, 1.0);
-    return visits;
+void Ring::inbound_visits(int src, int dst, InboundVisits& out) const {
+  LATOL_REQUIRE(src >= 0 && src < nodes_ && dst >= 0 && dst < nodes_,
+                "nodes " << src << ',' << dst);
+  const auto append = [&](int step, double weight) {
+    walk(nodes_, src, dst, step,
+         [&](int node) { out.emplace_back(node, weight); });
+  };
+  const int step = minimal_step(src, dst, nodes_);
+  if (step != 0) {
+    append(step, 1.0);
+  } else {  // half-ring tie: split both ways
+    append(+1, 0.5);
+    append(-1, 0.5);
   }
-  for (const int node : route(src, dst, /*tie_a=*/true, true))
-    visits.emplace_back(node, 0.5);
-  for (const int node : route(src, dst, /*tie_a=*/false, true))
-    visits.emplace_back(node, 0.5);
-  return visits;
 }
 
 }  // namespace latol::topo

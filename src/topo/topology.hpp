@@ -15,6 +15,10 @@
 
 namespace latol::topo {
 
+/// Expected inbound-switch traversals of routed messages: (node, weight)
+/// pairs, as Topology::inbound_visits appends them.
+using InboundVisits = std::vector<std::pair<int, double>>;
+
 /// A static point-to-point interconnect with deterministic minimal
 /// routing (ties, where they exist, split evenly in expectation).
 class Topology {
@@ -30,11 +34,12 @@ class Topology {
   /// Largest distance between any pair of nodes.
   [[nodiscard]] virtual int max_distance() const = 0;
 
-  /// Expected inbound-switch traversals of a message src -> dst: (node,
-  /// weight) pairs over nodes entered (intermediates + destination);
-  /// weights sum to distance(src, dst). Empty when src == dst.
-  [[nodiscard]] virtual std::vector<std::pair<int, double>> inbound_visits(
-      int src, int dst) const = 0;
+  /// Appends the expected inbound-switch traversals of a message src ->
+  /// dst to `out`: (node, weight) pairs over the nodes entered
+  /// (intermediates + destination), route by route in routing order, with
+  /// weights summing to distance(src, dst); nothing when src == dst. The
+  /// caller owns the buffer, so walking many routes allocates once.
+  virtual void inbound_visits(int src, int dst, InboundVisits& out) const = 0;
 
   /// One concrete minimal route src -> dst (sequence of nodes entered).
   /// `tie_a` / `tie_b` select directions where the routing has binary

@@ -14,6 +14,28 @@ int ring_distance(int a, int b, int k) {
   return std::min(d, k - d);
 }
 
+/// The minimal steps along one ring of size k from `from` to `to`: one
+/// step of weight 1 (a zero step when they coincide, so a product of
+/// weights is unchanged), or, on a half-ring tie, +1 and -1 at 0.5 each.
+struct RingDirections {
+  int count = 1;
+  int step[2] = {0, 0};
+  double weight[2] = {1.0, 1.0};
+};
+
+RingDirections ring_directions(int from, int to, int k) {
+  RingDirections dirs;
+  if (from == to) return dirs;
+  const int forward = ((to - from) % k + k) % k;
+  const int backward = k - forward;
+  if (forward != backward) {
+    dirs.step[0] = forward < backward ? +1 : -1;
+  } else {
+    dirs = {2, {+1, -1}, {0.5, 0.5}};  // half-ring tie: split both ways
+  }
+  return dirs;
+}
+
 }  // namespace
 
 Torus2D::Torus2D(int side) : side_(side) {
@@ -47,46 +69,26 @@ int Torus2D::distance(int a, int b) const {
 
 int Torus2D::max_distance() const { return 2 * (side_ / 2); }
 
-std::vector<std::pair<int, double>> Torus2D::ring_directions(int from,
-                                                             int to) const {
-  if (from == to) return {};
-  const int forward = ((to - from) % side_ + side_) % side_;
-  const int backward = side_ - forward;
-  if (forward < backward) return {{+1, 1.0}};
-  if (backward < forward) return {{-1, 1.0}};
-  return {{+1, 0.5}, {-1, 0.5}};  // half-ring tie: split both ways
-}
-
-std::vector<std::pair<int, double>> Torus2D::inbound_visits(int src,
-                                                            int dst) const {
-  std::vector<std::pair<int, double>> visits;
-  if (src == dst) return visits;
+void Torus2D::inbound_visits(int src, int dst, InboundVisits& out) const {
+  if (src == dst) return;
   const int sx = x_of(src), sy = y_of(src);
   const int dx = x_of(dst), dy = y_of(dst);
-  const auto x_dirs = ring_directions(sx, dx);
-  const auto y_dirs = ring_directions(sy, dy);
-
-  auto walk = [&](int x_step, int y_step, double weight) {
-    int x = sx, y = sy;
-    while (x != dx) {
-      x = ((x + x_step) % side_ + side_) % side_;
-      visits.emplace_back(node_at(x, y), weight);
+  const RingDirections xd = ring_directions(sx, dx, side_);
+  const RingDirections yd = ring_directions(sy, dy, side_);
+  for (int i = 0; i < xd.count; ++i) {
+    for (int j = 0; j < yd.count; ++j) {
+      const double weight = xd.weight[i] * yd.weight[j];
+      int x = sx, y = sy;
+      while (x != dx) {
+        x = ((x + xd.step[i]) % side_ + side_) % side_;
+        out.emplace_back(node_at(x, y), weight);
+      }
+      while (y != dy) {
+        y = ((y + yd.step[j]) % side_ + side_) % side_;
+        out.emplace_back(node_at(x, y), weight);
+      }
     }
-    while (y != dy) {
-      y = ((y + y_step) % side_ + side_) % side_;
-      visits.emplace_back(node_at(x, y), weight);
-    }
-  };
-
-  if (x_dirs.empty()) {
-    for (const auto& [ys, yw] : y_dirs) walk(0, ys, yw);
-  } else if (y_dirs.empty()) {
-    for (const auto& [xs, xw] : x_dirs) walk(xs, 0, xw);
-  } else {
-    for (const auto& [xs, xw] : x_dirs)
-      for (const auto& [ys, yw] : y_dirs) walk(xs, ys, xw * yw);
   }
-  return visits;
 }
 
 std::vector<int> Torus2D::path(int src, int dst, bool x_tie_positive,
@@ -96,22 +98,16 @@ std::vector<int> Torus2D::path(int src, int dst, bool x_tie_positive,
   const int sx = x_of(src), sy = y_of(src);
   const int dx = x_of(dst), dy = y_of(dst);
 
-  auto direction = [&](int from, int to, bool tie_positive) {
-    if (from == to) return 0;
-    const int forward = ((to - from) % side_ + side_) % side_;
-    const int backward = side_ - forward;
-    if (forward < backward) return +1;
-    if (backward < forward) return -1;
-    return tie_positive ? +1 : -1;
-  };
-
+  // A tie takes step[0] (+1) when tie_positive, else step[1] (-1).
+  const RingDirections xd = ring_directions(sx, dx, side_);
+  const RingDirections yd = ring_directions(sy, dy, side_);
+  const int x_step = xd.step[x_tie_positive ? 0 : xd.count - 1];
+  const int y_step = yd.step[y_tie_positive ? 0 : yd.count - 1];
   int x = sx, y = sy;
-  const int x_step = direction(sx, dx, x_tie_positive);
   while (x != dx) {
     x = ((x + x_step) % side_ + side_) % side_;
     nodes.push_back(node_at(x, y));
   }
-  const int y_step = direction(sy, dy, y_tie_positive);
   while (y != dy) {
     y = ((y + y_step) % side_ + side_) % side_;
     nodes.push_back(node_at(x, y));

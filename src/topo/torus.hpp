@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "topo/topology.hpp"
@@ -50,13 +49,12 @@ class Torus2D final : public Topology {
     return distance_profile_;
   }
 
-  /// Inbound-switch visits of a message routed src -> dst: for each node
-  /// entered along the way (intermediate hops and the destination itself)
-  /// the expected number of traversals, accounting for the 50/50 split on
-  /// half-ring ties. Weights sum to distance(src, dst). Empty when
-  /// src == dst.
-  [[nodiscard]] std::vector<std::pair<int, double>> inbound_visits(
-      int src, int dst) const override;
+  /// Appends the inbound-switch visits of a message routed src -> dst to
+  /// `out`: for each node entered along the way (intermediate hops and
+  /// the destination itself) the expected number of traversals,
+  /// accounting for the 50/50 split on half-ring ties. Weights sum to
+  /// distance(src, dst); nothing is appended when src == dst.
+  void inbound_visits(int src, int dst, InboundVisits& out) const override;
 
   /// One concrete dimension-order path src -> dst: the sequence of nodes
   /// entered (length = distance(src, dst), last element = dst). Half-ring
@@ -68,10 +66,6 @@ class Torus2D final : public Topology {
                                       bool y_tie_positive = true) const;
 
  private:
-  /// Minimal-direction steps along one ring: (step, weight) pairs.
-  [[nodiscard]] std::vector<std::pair<int, double>> ring_directions(
-      int from, int to) const;
-
   int side_;
   std::vector<int> distance_profile_;
 };

@@ -1,6 +1,7 @@
 #include "topo/traffic.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -36,69 +37,75 @@ RemoteAccessDistribution::RemoteAccessDistribution(const Topology& topology,
         "hotspot_fraction " << config.hotspot_fraction);
   }
 
-  prob_ = util::Matrix(static_cast<std::size_t>(P),
-                       static_cast<std::size_t>(P), 0.0);
+  rows_.resize(static_cast<std::size_t>(P));
   davg_from_.assign(static_cast<std::size_t>(P), 0.0);
-  class_prob_.assign(static_cast<std::size_t>(topology.max_distance()) + 1,
-                     0.0);
+}
 
-  for (int src = 0; src < P; ++src) {
-    const auto s = static_cast<std::size_t>(src);
-    const std::vector<int> profile = topology.distance_profile_from(src);
+double RemoteAccessDistribution::probability(int src, int dst) const {
+  const std::vector<double>& r = row(src);
+  LATOL_REQUIRE(dst >= 0 && static_cast<std::size_t>(dst) < r.size(),
+                "destination " << dst);
+  return r[static_cast<std::size_t>(dst)];
+}
 
-    // Base (pattern) weights, then per-source normalization.
-    double total = 0.0;
-    for (int dst = 0; dst < P; ++dst) {
-      if (dst == src) continue;
-      const int h = topology.distance(src, dst);
-      double w = 0.0;
-      switch (config.pattern) {
-        case AccessPattern::kUniform:
-          w = 1.0;
-          break;
-        case AccessPattern::kGeometric:
-          if (config.mode == GeometricMode::kPerModule) {
-            w = std::pow(config.p_sw, h);
-          } else {
-            // Distance-class convention: the class carries p_sw^h, shared
-            // equally by the N_h(src) modules in it.
-            w = std::pow(config.p_sw, h) /
-                static_cast<double>(profile[static_cast<std::size_t>(h)]);
-          }
-          break;
+double RemoteAccessDistribution::average_distance_from(int src) const {
+  (void)row(src);
+  return davg_from_[static_cast<std::size_t>(src)];
+}
+
+double RemoteAccessDistribution::average_distance() const {
+  double d_avg = 0.0;
+  for (int src = 0; src < static_cast<int>(rows_.size()); ++src)
+    d_avg += average_distance_from(src);
+  return d_avg / static_cast<double>(rows_.size());
+}
+
+const std::vector<double>& RemoteAccessDistribution::row(int src) const {
+  LATOL_REQUIRE(src >= 0 && static_cast<std::size_t>(src) < rows_.size(),
+                "source " << src);
+  const auto s = static_cast<std::size_t>(src);
+  if (!rows_[s].empty()) return rows_[s];
+
+  const int P = topology_.num_nodes();
+  const bool per_class = config_.pattern == AccessPattern::kGeometric &&
+                         config_.mode == GeometricMode::kDistanceClass;
+  const std::vector<int> profile =
+      per_class ? topology_.distance_profile_from(src) : std::vector<int>{};
+  std::vector<double> prob(static_cast<std::size_t>(P), 0.0);
+
+  // Base (pattern) weights, then per-source normalization.
+  double total = 0.0;
+  for (int dst = 0; dst < P; ++dst) {
+    if (dst == src) continue;
+    const int h = topology_.distance(src, dst);
+    double w = 1.0;  // uniform
+    if (config_.pattern == AccessPattern::kGeometric) {
+      w = std::pow(config_.p_sw, h);
+      // Distance-class convention: the class carries p_sw^h, shared
+      // equally by the N_h(src) modules in it.
+      if (per_class) {
+        w /= static_cast<double>(profile[static_cast<std::size_t>(h)]);
       }
-      prob_(s, static_cast<std::size_t>(dst)) = w;
-      total += w;
     }
-    LATOL_REQUIRE(total > 0.0, "no reachable destinations from " << src);
-    for (int dst = 0; dst < P; ++dst)
-      prob_(s, static_cast<std::size_t>(dst)) /= total;
-
-    // Record the base distance-class distribution from node 0 before any
-    // hotspot redistribution (API compatibility + DES sanity checks).
-    if (src == 0) {
-      for (int dst = 0; dst < P; ++dst) {
-        if (dst == 0) continue;
-        class_prob_[static_cast<std::size_t>(topology.distance(0, dst))] +=
-            prob_(0, static_cast<std::size_t>(dst));
-      }
-    }
-
-    // Hotspot redirection on top of the base pattern.
-    if (has_hotspot() && src != config.hotspot_node) {
-      const double f = config.hotspot_fraction;
-      for (int dst = 0; dst < P; ++dst)
-        prob_(s, static_cast<std::size_t>(dst)) *= (1.0 - f);
-      prob_(s, static_cast<std::size_t>(config.hotspot_node)) += f;
-    }
-
-    for (int dst = 0; dst < P; ++dst) {
-      davg_from_[s] += prob_(s, static_cast<std::size_t>(dst)) *
-                       topology.distance(src, dst);
-    }
-    d_avg_ += davg_from_[s];
+    prob[static_cast<std::size_t>(dst)] = w;
+    total += w;
   }
-  d_avg_ /= static_cast<double>(P);
+  LATOL_REQUIRE(total > 0.0, "no reachable destinations from " << src);
+  for (double& q : prob) q /= total;
+
+  // Hotspot redirection on top of the base pattern.
+  if (has_hotspot() && src != config_.hotspot_node) {
+    const double f = config_.hotspot_fraction;
+    for (double& q : prob) q *= (1.0 - f);
+    prob[static_cast<std::size_t>(config_.hotspot_node)] += f;
+  }
+
+  double davg = 0.0;
+  for (int dst = 0; dst < P; ++dst)
+    davg += prob[static_cast<std::size_t>(dst)] * topology_.distance(src, dst);
+  davg_from_[s] = davg;
+  rows_[s] = std::move(prob);
+  return rows_[s];
 }
 
 }  // namespace latol::topo

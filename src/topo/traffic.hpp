@@ -14,13 +14,14 @@
 //  - uniform over the P-1 remote modules.
 //
 // Distributions are tabulated per source node, so non-vertex-transitive
-// topologies (2-D mesh) and the hotspot extension work uniformly.
+// topologies (2-D mesh) and the hotspot extension work uniformly. A
+// source's row is built the first time it is asked for, so a caller that
+// reads one row (class 0's reduced solve) pays O(P), not O(P^2).
 #pragma once
 
 #include <vector>
 
 #include "topo/topology.hpp"
-#include "util/matrix.hpp"
 
 namespace latol::topo {
 
@@ -53,6 +54,12 @@ struct TrafficConfig {
 
 /// The per-destination probability distribution q(src -> dst) of a remote
 /// access, plus derived quantities (d_avg).
+///
+/// Rows are built on demand: a source's row is computed, and kept, the
+/// first time probability() or average_distance_from() asks for it, and
+/// nothing P x P is allocated up front. Because the const accessors fill
+/// rows, a distribution (like the core::MmsModel that owns one) must not
+/// be shared across threads.
 class RemoteAccessDistribution {
  public:
   RemoteAccessDistribution(const Topology& topology,
@@ -60,27 +67,14 @@ class RemoteAccessDistribution {
 
   /// Probability that a remote access from `src` targets module `dst`.
   /// Zero when dst == src. Sums to 1 over all dst != src.
-  [[nodiscard]] double probability(int src, int dst) const {
-    return prob_(static_cast<std::size_t>(src),
-                 static_cast<std::size_t>(dst));
-  }
-
-  /// P(distance class == h) of the *base* pattern as seen from node 0,
-  /// h = 1..max_distance (index 0 unused = 0). Exact for every source on
-  /// vertex-transitive topologies without a hotspot; use probability()
-  /// for the general case.
-  [[nodiscard]] const std::vector<double>& distance_class_probability() const {
-    return class_prob_;
-  }
+  [[nodiscard]] double probability(int src, int dst) const;
 
   /// Average hops traveled by a remote access (the paper's d_avg), as the
-  /// mean over all source nodes.
-  [[nodiscard]] double average_distance() const { return d_avg_; }
+  /// mean over all source nodes; builds every row.
+  [[nodiscard]] double average_distance() const;
 
   /// Average hops for remote accesses issued by one source node.
-  [[nodiscard]] double average_distance_from(int src) const {
-    return davg_from_[static_cast<std::size_t>(src)];
-  }
+  [[nodiscard]] double average_distance_from(int src) const;
 
   /// True when a hotspot redirection is active.
   [[nodiscard]] bool has_hotspot() const {
@@ -91,12 +85,13 @@ class RemoteAccessDistribution {
   [[nodiscard]] const TrafficConfig& config() const { return config_; }
 
  private:
+  /// Row `src` of the P x P table, built on first use.
+  [[nodiscard]] const std::vector<double>& row(int src) const;
+
   const Topology& topology_;
   TrafficConfig config_;
-  util::Matrix prob_;              // P x P destination probabilities
-  std::vector<double> class_prob_; // base pattern by distance, from node 0
-  std::vector<double> davg_from_;  // per-source average distance
-  double d_avg_ = 0.0;
+  mutable std::vector<std::vector<double>> rows_;  // empty until built
+  mutable std::vector<double> davg_from_;  // per-source average distance
 };
 
 /// The paper's closed-form d_avg for the geometric distance-class pattern:

@@ -492,6 +492,11 @@ TEST_F(CliRunScenario, WritesResultsAndManifest) {
   const std::string manifest = read_all(dir_ + "/cli_small.manifest.json");
   EXPECT_NE(manifest.find("\"degraded_points\": 0"), std::string::npos);
   EXPECT_NE(manifest.find("\"scenario_hash\": \"fnv1a64:"), std::string::npos);
+  EXPECT_GT(io::parse_json_file(dir_ + "/cli_small.manifest.json")
+                .find("process")
+                ->find("peak_rss_kb")
+                ->as_number(),
+            0.0);
   // JSON results parse and carry one row object per grid point.
   const io::Json results = io::parse_json_file(dir_ + "/cli_small.json");
   EXPECT_EQ(results.find("rows")->as_array().size(), 2u);
@@ -676,6 +681,8 @@ TEST_F(CliRunScenario, RunEmitsMetricsAndTraceArtifacts) {
     EXPECT_GT(p.find("residual_history_length")->as_number(), 0.0);
     EXPECT_LT(p.find("littles_law_error")->as_number(), 1e-6);
   }
+  ASSERT_NE(metrics.find("process"), nullptr);
+  EXPECT_GT(metrics.find("process")->find("peak_rss_kb")->as_number(), 0.0);
   // The registry snapshot rode along (run installs one when instrumented).
   ASSERT_NE(metrics.find("registry"), nullptr);
   EXPECT_NE(metrics.find("registry")->find("counters")->find(
@@ -712,6 +719,8 @@ TEST_F(CliRunScenario, AnalyzeAndSweepEmitMetricsAndTraces) {
   EXPECT_GT(point->find("iterations")->as_number(), 0.0);
   EXPECT_EQ(point->find("iterations")->as_number(),
             point->find("residual_history_length")->as_number());
+  ASSERT_NE(metrics.find("process"), nullptr);
+  EXPECT_GT(metrics.find("process")->find("peak_rss_kb")->as_number(), 0.0);
   const io::Json trace = io::parse_json_file(trace_path);
   const auto& attempts = trace.find("attempts")->as_array();
   ASSERT_EQ(attempts.size(), 1u);  // amva answered first try

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "qn/mva_approx.hpp"
 #include "core/bottleneck.hpp"
 #include "qn/mva_exact.hpp"
@@ -248,6 +251,49 @@ TEST(MmsModel, AllTopologiesProduceValidNetworks) {
     EXPECT_TRUE(perf.converged);
     EXPECT_GT(perf.processor_utilization, 0.0);
     EXPECT_LE(perf.processor_utilization, 1.0);
+  }
+}
+
+TEST(MmsModel, ClassVisitsFromFreshModelMatchNetworkRowsBitwise) {
+  // class_visits(i) on a fresh model builds traffic row i alone; the
+  // network builds every row. The visit ratios agree to the bit.
+  struct Case {
+    topo::TopologyKind kind;
+    int side;
+    topo::AccessPattern pattern;
+    int hotspot_node;
+  };
+  for (const Case c :
+       {Case{topo::TopologyKind::kTorus2D, 4, topo::AccessPattern::kGeometric,
+             -1},
+        Case{topo::TopologyKind::kTorus2D, 5, topo::AccessPattern::kUniform,
+             -1},
+        Case{topo::TopologyKind::kRing, 6, topo::AccessPattern::kGeometric,
+             -1},
+        Case{topo::TopologyKind::kHypercube, 3,
+             topo::AccessPattern::kUniform, -1},
+        Case{topo::TopologyKind::kMesh2D, 3, topo::AccessPattern::kGeometric,
+             2}}) {
+    MmsConfig cfg = MmsConfig::paper_defaults();
+    cfg.topology = c.kind;
+    cfg.k = c.side;
+    cfg.traffic.pattern = c.pattern;
+    if (c.hotspot_node >= 0) {
+      cfg.traffic.hotspot_node = c.hotspot_node;
+      cfg.traffic.hotspot_fraction = 0.25;
+    }
+    const qn::ClosedNetwork net = MmsModel(cfg).build_network();
+    const int P = cfg.num_processors();
+    for (const int i : {0, P / 2}) {
+      const std::vector<double> v = MmsModel(cfg).class_visits(i);
+      ASSERT_EQ(v.size(), net.num_stations());
+      for (std::size_t m = 0; m < v.size(); ++m) {
+        const double row = net.visit_ratio(static_cast<std::size_t>(i), m);
+        EXPECT_EQ(std::memcmp(&v[m], &row, sizeof(double)), 0)
+            << topo::topology_kind_name(c.kind) << " class " << i
+            << " station " << m;
+      }
+    }
   }
 }
 

@@ -183,6 +183,14 @@ TEST_F(RegistryTest, ObserveHelperIsInertWithoutARegistry) {
   EXPECT_EQ(r.histogram("somebody.listens").count(), 1u);
 }
 
+TEST(PeakRss, ReportsThisProcessHighWaterMark) {
+  const long before = peak_rss_kb();
+  EXPECT_GT(before, 0);
+  // A high-water mark never falls, whatever the process frees.
+  { std::vector<char> buffer(1 << 20, 1); }
+  EXPECT_GE(peak_rss_kb(), before);
+}
+
 TEST(ConvergenceTrace, RecordsResidualsInOrder) {
   ConvergenceTrace trace;
   trace.record(0.5);

@@ -315,6 +315,8 @@ TEST(Serve, MetricsExposesPrometheusText) {
   // Process gauges and the request-latency histogram (cumulative buckets
   // plus _sum/_count) ride along on the same endpoint.
   EXPECT_NE(r.body.find("latol_process_uptime_seconds"), std::string::npos);
+  EXPECT_NE(r.body.find("# TYPE latol_process_peak_rss_kb gauge"),
+            std::string::npos);
   EXPECT_NE(r.body.find(
                 "# TYPE latol_serve_request_latency_seconds histogram"),
             std::string::npos);

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
@@ -84,12 +87,40 @@ TEST_P(AllTopologies, InboundVisitWeightsSumToDistance) {
   for (int a = 0; a < t->num_nodes(); ++a) {
     for (int b = 0; b < t->num_nodes(); ++b) {
       double total = 0.0;
-      for (const auto& [node, w] : t->inbound_visits(a, b)) {
+      InboundVisits visits;
+      t->inbound_visits(a, b, visits);
+      for (const auto& [node, w] : visits) {
         EXPECT_NE(node, a);
         EXPECT_GT(w, 0.0);
         total += w;
       }
       EXPECT_NEAR(total, t->distance(a, b), 1e-12);
+    }
+  }
+}
+
+TEST_P(AllTopologies, InboundVisitsAppendEachMinimalRouteInOrder) {
+  // The walk appends after what the buffer holds: every distinct route
+  // (tie choices x-major, positive first), weighted 1 / routes.
+  const auto t = topo();
+  for (int a = 0; a < t->num_nodes(); ++a) {
+    for (int b = 0; b < t->num_nodes(); ++b) {
+      std::vector<std::vector<int>> routes;
+      for (const bool tie_a : {true, false}) {
+        for (const bool tie_b : {true, false}) {
+          auto r = t->route(a, b, tie_a, tie_b);
+          if (std::find(routes.begin(), routes.end(), r) == routes.end())
+            routes.push_back(std::move(r));
+        }
+      }
+      InboundVisits expected = {{-1, -1.0}};
+      for (const auto& r : routes) {
+        for (const int node : r)
+          expected.emplace_back(node, 1.0 / static_cast<double>(routes.size()));
+      }
+      InboundVisits visits = {{-1, -1.0}};
+      t->inbound_visits(a, b, visits);
+      EXPECT_EQ(visits, expected) << t->name() << ' ' << a << "->" << b;
     }
   }
 }
@@ -170,7 +201,9 @@ TEST(Ring, DistancesWrapAround) {
 TEST(Ring, HalfRingTieSplits) {
   const Ring ring(6);
   double w_first_cw = 0.0, w_first_ccw = 0.0;
-  for (const auto& [node, w] : ring.inbound_visits(0, 3)) {
+  InboundVisits visits;
+  ring.inbound_visits(0, 3, visits);
+  for (const auto& [node, w] : visits) {
     if (node == 1) w_first_cw += w;
     if (node == 5) w_first_ccw += w;
   }

@@ -91,7 +91,9 @@ TEST_P(TorusSides, InboundVisitWeightsSumToDistance) {
   for (int a = 0; a < t.num_nodes(); ++a) {
     for (int b = 0; b < t.num_nodes(); ++b) {
       double total = 0.0;
-      for (const auto& [node, w] : t.inbound_visits(a, b)) {
+      InboundVisits visits;
+      t.inbound_visits(a, b, visits);
+      for (const auto& [node, w] : visits) {
         EXPECT_NE(node, a) << "source never re-entered";
         total += w;
       }
@@ -106,7 +108,8 @@ TEST(Torus, HalfRingTieSplitsFiftyFifty) {
   // On a 4-ring, offset 2 has two minimal directions. From (0,0) to (2,0)
   // the first hop is node (1,0) with weight .5 and node (3,0) with .5.
   const Torus2D t(4);
-  const auto visits = t.inbound_visits(t.node_at(0, 0), t.node_at(2, 0));
+  InboundVisits visits;
+  t.inbound_visits(t.node_at(0, 0), t.node_at(2, 0), visits);
   std::map<int, double> acc;
   for (const auto& [node, w] : visits) acc[node] += w;
   EXPECT_NEAR(acc[t.node_at(1, 0)], 0.5, 1e-12);
@@ -117,7 +120,8 @@ TEST(Torus, HalfRingTieSplitsFiftyFifty) {
 TEST(Torus, OddSideHasUniqueMinimalPaths) {
   const Torus2D t(5);
   for (int b = 1; b < t.num_nodes(); ++b) {
-    const auto visits = t.inbound_visits(0, b);
+    InboundVisits visits;
+    t.inbound_visits(0, b, visits);
     for (const auto& [node, w] : visits)
       EXPECT_NEAR(w, 1.0, 1e-12) << "no ties expected on odd side";
   }
@@ -146,7 +150,9 @@ TEST(Torus, SingleNodeTorusIsDegenerate) {
   EXPECT_EQ(t.num_nodes(), 1);
   EXPECT_EQ(t.max_distance(), 0);
   EXPECT_TRUE(t.path(0, 0).empty());
-  EXPECT_TRUE(t.inbound_visits(0, 0).empty());
+  InboundVisits visits;
+  t.inbound_visits(0, 0, visits);
+  EXPECT_TRUE(visits.empty());
 }
 
 }  // namespace

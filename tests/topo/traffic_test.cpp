@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <ostream>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -169,9 +172,15 @@ TEST(Traffic, LowLocalityFavorsNearbyModules) {
 }
 
 TEST(Traffic, DistanceClassProbabilitiesExposed) {
+  // P(distance class == h) from node 0, summed over the modules in it.
   const Torus2D torus(4);
   const RemoteAccessDistribution dist(torus, TrafficConfig{});
-  const auto& cls = dist.distance_class_probability();
+  std::vector<double> cls(
+      static_cast<std::size_t>(torus.max_distance()) + 1, 0.0);
+  for (int dst = 0; dst < torus.num_nodes(); ++dst) {
+    cls[static_cast<std::size_t>(torus.distance(0, dst))] +=
+        dist.probability(0, dst);
+  }
   ASSERT_EQ(cls.size(), 5u);
   EXPECT_EQ(cls[0], 0.0);
   double total = 0.0;
@@ -180,6 +189,137 @@ TEST(Traffic, DistanceClassProbabilitiesExposed) {
   // Geometric: each class has half the probability of the previous.
   EXPECT_NEAR(cls[2] / cls[1], 0.5, 1e-12);
   EXPECT_NEAR(cls[3] / cls[2], 0.5, 1e-12);
+}
+
+/// The eagerly tabulated distribution, in the order the rows were once
+/// all built up front: per source the base weights, the normalization,
+/// the hotspot redirection and d_avg_from; d_avg as their mean.
+struct EagerTable {
+  std::vector<std::vector<double>> prob;
+  std::vector<double> davg_from;
+  double d_avg = 0.0;
+};
+
+EagerTable eager_table(const Topology& topology, const TrafficConfig& cfg) {
+  const int P = topology.num_nodes();
+  EagerTable t;
+  t.prob.assign(static_cast<std::size_t>(P),
+                std::vector<double>(static_cast<std::size_t>(P), 0.0));
+  t.davg_from.assign(static_cast<std::size_t>(P), 0.0);
+  for (int src = 0; src < P; ++src) {
+    std::vector<double>& row = t.prob[static_cast<std::size_t>(src)];
+    const std::vector<int> profile = topology.distance_profile_from(src);
+    double total = 0.0;
+    for (int dst = 0; dst < P; ++dst) {
+      if (dst == src) continue;
+      const int h = topology.distance(src, dst);
+      double w = 1.0;
+      if (cfg.pattern == AccessPattern::kGeometric) {
+        w = cfg.mode == GeometricMode::kPerModule
+                ? std::pow(cfg.p_sw, h)
+                : std::pow(cfg.p_sw, h) /
+                      static_cast<double>(
+                          profile[static_cast<std::size_t>(h)]);
+      }
+      row[static_cast<std::size_t>(dst)] = w;
+      total += w;
+    }
+    for (double& q : row) q /= total;
+    if (cfg.hotspot_node >= 0 && cfg.hotspot_fraction > 0.0 &&
+        src != cfg.hotspot_node) {
+      for (double& q : row) q *= (1.0 - cfg.hotspot_fraction);
+      row[static_cast<std::size_t>(cfg.hotspot_node)] += cfg.hotspot_fraction;
+    }
+    double& davg = t.davg_from[static_cast<std::size_t>(src)];
+    for (int dst = 0; dst < P; ++dst)
+      davg += row[static_cast<std::size_t>(dst)] * topology.distance(src, dst);
+    t.d_avg += davg;
+  }
+  t.d_avg /= static_cast<double>(P);
+  return t;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The bytes of row `src` as the distribution hands them out.
+std::vector<double> row_of(const RemoteAccessDistribution& dist, int src) {
+  std::vector<double> row;
+  for (int dst = 0; dst < dist.topology().num_nodes(); ++dst)
+    row.push_back(dist.probability(src, dst));
+  return row;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(TrafficOnDemandRows, RowAloneMatchesFilledTableBitwise) {
+  // Odd sides (unique routes), even sides and rings (tied routes), the
+  // non-vertex-transitive mesh, and the hypercube.
+  const std::pair<TopologyKind, int> machines[] = {
+      {TopologyKind::kTorus2D, 3}, {TopologyKind::kTorus2D, 4},
+      {TopologyKind::kMesh2D, 3},  {TopologyKind::kMesh2D, 4},
+      {TopologyKind::kRing, 5},    {TopologyKind::kRing, 6},
+      {TopologyKind::kHypercube, 3}};
+  std::vector<TrafficConfig> configs;
+  for (const AccessPattern pattern :
+       {AccessPattern::kGeometric, AccessPattern::kUniform}) {
+    for (const GeometricMode mode :
+         {GeometricMode::kDistanceClass, GeometricMode::kPerModule}) {
+      for (const double hotspot : {0.0, 0.3}) {
+        TrafficConfig cfg;
+        cfg.pattern = pattern;
+        cfg.p_sw = 0.7;
+        cfg.mode = mode;
+        if (hotspot > 0.0) {
+          cfg.hotspot_node = 1;
+          cfg.hotspot_fraction = hotspot;
+        }
+        configs.push_back(cfg);
+      }
+    }
+  }
+  for (const auto& [kind, side] : machines) {
+    const auto topology = make_topology(kind, side);
+    const int P = topology->num_nodes();
+    for (const TrafficConfig& cfg : configs) {
+      const EagerTable eager = eager_table(*topology, cfg);
+      const RemoteAccessDistribution filled(*topology, cfg);
+      ASSERT_TRUE(same_bits(filled.average_distance(), eager.d_avg))
+          << topology->name();
+      for (int src = 0; src < P; ++src) {
+        SCOPED_TRACE(topology->name() + " src=" + std::to_string(src) +
+                     " hotspot=" + std::to_string(cfg.hotspot_fraction));
+        // A fresh distribution asked for this row alone.
+        const RemoteAccessDistribution alone(*topology, cfg);
+        EXPECT_TRUE(same_bits(row_of(alone, src), row_of(filled, src)));
+        EXPECT_TRUE(same_bits(row_of(filled, src),
+                              eager.prob[static_cast<std::size_t>(src)]));
+        EXPECT_TRUE(same_bits(alone.average_distance_from(src),
+                              eager.davg_from[static_cast<std::size_t>(src)]));
+        EXPECT_TRUE(same_bits(filled.average_distance_from(src),
+                              eager.davg_from[static_cast<std::size_t>(src)]));
+      }
+      // Rows filled out of order still average in source order.
+      const RemoteAccessDistribution reversed(*topology, cfg);
+      for (int src = P - 1; src >= 0; --src)
+        (void)reversed.average_distance_from(src);
+      EXPECT_TRUE(same_bits(reversed.average_distance(), eager.d_avg))
+          << topology->name();
+    }
+  }
+}
+
+TEST(TrafficOnDemandRows, RejectsNodesOutsideTheMachine) {
+  const Torus2D torus(3);
+  const RemoteAccessDistribution dist(torus, TrafficConfig{});
+  EXPECT_THROW((void)dist.probability(9, 0), InvalidArgument);
+  EXPECT_THROW((void)dist.probability(0, 9), InvalidArgument);
+  EXPECT_THROW((void)dist.probability(-1, 0), InvalidArgument);
+  EXPECT_THROW((void)dist.average_distance_from(9), InvalidArgument);
 }
 
 TEST(TrafficHotspot, ProbabilitiesStillSumToOne) {
