@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -20,6 +21,7 @@
 
 #include "core/latol.hpp"
 #include "obs/registry.hpp"
+#include "obs/span.hpp"
 #include "qn/robust.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -129,19 +131,51 @@ inline std::string csv_converged(const core::MmsPerformance& perf) {
 /// that mix numbers with the solver/converged string cells.
 inline std::string csv_num(double v) { return util::csv_number(v); }
 
+/// The hooks one solve fires, by kind.
+struct HookCount {
+  std::uint64_t obs = 0;    ///< registry and trace-sink hooks
+  std::uint64_t trace = 0;  ///< the solver's per-iteration trace branch
+  [[nodiscard]] double total() const {
+    return static_cast<double>(obs + trace);
+  }
+};
+
+/// Count the hooks one solve of `cfg` fires, with a registry and a trace
+/// sink installed: counter increments (a counter's value, an upper bound
+/// on its add calls), one per gauge, timer and histogram observations,
+/// span and instant events, plus one trace-pointer branch per iteration.
+inline HookCount hooks_per_solve(const core::MmsConfig& cfg) {
+  obs::Registry registry;
+  obs::TraceSink sink;
+  obs::Registry* const previous = obs::set_default_registry(&registry);
+  obs::TraceSink* const previous_sink = obs::set_default_trace_sink(&sink);
+  const core::MmsPerformance perf = core::analyze(cfg);
+  obs::set_default_trace_sink(previous_sink);
+  obs::set_default_registry(previous);
+  const obs::Snapshot snapshot = registry.snapshot();
+  HookCount n;
+  n.obs = sink.event_count() + snapshot.gauges.size();
+  for (const auto& c : snapshot.counters) n.obs += c.value;
+  for (const auto& t : snapshot.timers) n.obs += t.count;
+  for (const auto& h : snapshot.histograms) n.obs += h.count;
+  n.trace = static_cast<std::uint64_t>(perf.solver_iterations);
+  return n;
+}
+
 /// Guard for the DESIGN.md §9 overhead policy: with no registry installed
 /// every obs hook is one load + predicted branch, and a default solve must
 /// not pay more than ~1% for the instrumentation sprinkled through it.
 /// Measures both sides min-of-interleaved-trials (robust against CPU
-/// frequency drift), prices a solve at a generous hook budget far above
-/// what the code actually executes, and compares. Returns 0 when within
-/// the 1% policy, still 0 (with a loud warning) up to 10x the policy, and
-/// 1 only beyond that — a hard failure means the disabled fast path grew
-/// a lock or an allocation, not that the machine was noisy.
+/// frequency drift), prices a solve at the hooks it actually fires
+/// (hooks_per_solve), and compares. Returns 0 when within the 1% policy,
+/// still 0 (with a loud warning) up to 10x the policy, and 1 only beyond
+/// that — a hard failure means the disabled fast path grew a lock or an
+/// allocation, not that the machine was noisy.
 inline int check_disabled_instrumentation_overhead() {
   using Clock = std::chrono::steady_clock;
-  obs::Registry* const previous = obs::set_default_registry(nullptr);
   const core::MmsConfig cfg = core::MmsConfig::paper_defaults();
+  const HookCount hooks = hooks_per_solve(cfg);
+  obs::Registry* const previous = obs::set_default_registry(nullptr);
   constexpr int kTrials = 5;
   constexpr int kHookBatch = 200000;
   double solve_seconds = std::numeric_limits<double>::infinity();
@@ -168,17 +202,14 @@ inline int check_disabled_instrumentation_overhead() {
                  std::chrono::duration<double>(t1 - t0).count());
   }
   obs::set_default_registry(previous);
-  // A solve executes a handful of hooks plus one trace-pointer branch per
-  // AMVA iteration (tens to hundreds); 1,000 is roughly two orders of
-  // magnitude of headroom over the hooks actually on the solve path.
-  constexpr double kHooksPerSolve = 1000.0;
-  const double per_solve_cost =
-      batch_seconds / kHookBatch * kHooksPerSolve;
-  const double share = per_solve_cost / solve_seconds;
-  std::cout << "disabled-instrumentation overhead: "
-            << batch_seconds / kHookBatch * 1e9 << " ns/hook, "
-            << share * 100.0 << "% of a default solve at " << kHooksPerSolve
-            << " hooks/solve (policy: <1%)\n";
+  const double per_hook = batch_seconds / kHookBatch;
+  const double share = per_hook * hooks.total() / solve_seconds;
+  std::cout << "disabled-instrumentation overhead: " << per_hook * 1e9
+            << " ns/hook x " << hooks.total() << " hooks (" << hooks.obs
+            << " obs, " << hooks.trace
+            << " trace branches) counted in a default solve of "
+            << solve_seconds * 1e6 << " us = " << share * 100.0
+            << "% (policy: <1%)\n";
   if (share > 0.10) {
     std::cout << "FAIL: disabled instrumentation is not near-free — the "
                  "null-registry fast path regressed\n";

@@ -513,19 +513,18 @@ int scenario_exit_code(const exp::RunStats& st, std::ostream& out) {
 
 /// `latol run`: one pass of the grid executor. By default the results are
 /// materialized, then written as CSV/JSON (and --trace/--metrics-out
-/// artifacts); --stream, --shard and --warm-start stream CSV/JSONL rows
-/// as blocks complete instead, with bounded memory (DESIGN.md §15).
+/// artifacts); --stream and --shard stream CSV/JSONL rows in grid order
+/// as they finish instead, with bounded memory (DESIGN.md §15).
 int cmd_run(const CliOptions& opts, std::ostream& out) {
   LATOL_REQUIRE(!opts.scenario_path.empty(),
                 "run needs a scenario file: latol run <scenario.json>");
-  const bool stream =
-      opts.run_stream || opts.shard_count > 1 || opts.warm_start;
+  const bool stream = opts.run_stream || opts.shard_count > 1;
   // Instrumented runs record solver traces; the flag is part of the
   // solve-cache key, so traced and untraced runs never share entries and
   // the untraced cache file stays byte-stable.
   const bool instrumented = wants_instrumentation(opts);
   LATOL_REQUIRE(!stream || !instrumented,
-                "streaming run (--stream/--shard/--warm-start) does not "
+                "streaming run (--stream/--shard) does not "
                 "support --trace/--metrics-out (they need the materialized "
                 "results); drop the flag or run without --stream");
   LATOL_REQUIRE(stream || opts.run_format != "jsonl",

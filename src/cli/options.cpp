@@ -304,13 +304,13 @@ std::string usage() {
         "  --point-timeout MS  per-point wall-clock budget; a point over\n"
         "                  budget is marked failed (deadline-exceeded) and\n"
         "                  the run continues                 [off]\n"
-        "  --stream        bounded-memory row-by-row execution: results\n"
-        "                  stream to CSV/JSONL as blocks complete instead\n"
+        "  --stream        bounded-memory execution: results stream to\n"
+        "                  CSV/JSONL in grid order as they finish instead\n"
         "                  of materializing the grid (large sweeps;\n"
         "                  --format json emits JSONL). Bytes match the\n"
         "                  non-streamed CSV exactly.\n"
         "  --warm-start    seed each solve from an extrapolation of its row\n"
-        "                  neighbors (DESIGN.md §15); implies --stream\n"
+        "                  neighbors (DESIGN.md §15)\n"
         "  --shard I/N     solve rows r with r % N == I only; implies\n"
         "                  --stream. scripts/merge_shards.py reassembles\n"
         "                  the N outputs byte-identically    [0/1]\n\n"

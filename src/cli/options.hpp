@@ -75,11 +75,11 @@ struct CliOptions {
   /// exceeding it is marked failed with error deadline-exceeded and
   /// counted in the manifest's deadline_points (0 = no budget).
   double point_timeout_ms = 0.0;
-  /// --stream: bounded-memory row-by-row execution (large sweeps). Forced
-  /// on by --shard and --warm-start.
+  /// --stream: bounded-memory execution (large sweeps). Forced on by
+  /// --shard.
   bool run_stream = false;
   /// --warm-start: chain extrapolated solver seeds along each grid row
-  /// (DESIGN.md §15); implies --stream.
+  /// (DESIGN.md §15).
   bool warm_start = false;
   /// --shard I/N: solve only rows r with r % N == I (deterministic split
   /// across worker processes; scripts/merge_shards.py reassembles).

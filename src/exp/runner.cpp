@@ -1,11 +1,13 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <functional>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <thread>
 #include <unordered_map>
@@ -29,12 +31,6 @@ namespace latol::exp {
 
 namespace {
 
-/// Warm-solve accounting for one row.
-struct WarmStats {
-  std::size_t solves = 0;  ///< main analyze() calls executed
-  std::size_t hinted = 0;  ///< of those, seeded from a prior
-};
-
 /// Per-row warm-start state: the two most recent solutions of the chain
 /// plus the extrapolated hint built from them (kept here so its storage
 /// is reused across the row instead of reallocated per point).
@@ -44,7 +40,8 @@ struct WarmChain {
   qn::MvaSolution hint;
   bool has1 = false;
   bool has2 = false;
-  WarmStats stats;
+  std::size_t solves = 0;  ///< main analyze() calls executed
+  std::size_t hinted = 0;  ///< of those, seeded from a prior
 
   void reset() { has1 = has2 = false; }
 };
@@ -118,8 +115,8 @@ void compute_point(const core::MmsConfig& cfg, const Scenario& scenario,
       opts.hints = &hints;
       qn::MvaSolution solution;
       opts.solution_out = &solution;
-      ++chain->stats.solves;
-      if (prior != nullptr) ++chain->stats.hinted;
+      ++chain->solves;
+      if (prior != nullptr) ++chain->hinted;
       r.perf = core::analyze(cfg, opts);
       chain->prev2 = std::move(chain->prev1);
       chain->prev1 = std::move(solution);
@@ -192,10 +189,10 @@ SimPoint simulate_point(const core::MmsConfig& cfg,
   return sp;
 }
 
-/// Identical points of one block coalesce onto whichever copy a worker
-/// reached first. Hand the miss to the first copy in grid order instead,
-/// so the per-point cache_hit flag does not depend on the schedule. Only
-/// a block with both hits and misses can hold such a pair.
+/// Identical points in flight together coalesce onto whichever copy a
+/// worker reached first. Hand the miss to the first copy in grid order
+/// instead, so the per-point cache_hit flag does not depend on the
+/// schedule. Only a run with both hits and misses can hold such a pair.
 void order_cache_misses(const Scenario& scenario,
                         const std::vector<core::MmsConfig>& configs,
                         std::vector<PointResult>& points) {
@@ -217,11 +214,10 @@ void order_cache_misses(const Scenario& scenario,
 using PointSink =
     std::function<void(std::size_t, core::MmsConfig&, PointResult&)>;
 
-/// The one grid executor behind run_scenario and run_scenario_stream.
-/// Solves the rows this shard owns a block at a time — solves in
-/// parallel, then the block's validation targets in parallel, then the
-/// block's points go to `emit` in grid order — so it holds one block at
-/// a time and the emitted order never depends on the worker count.
+/// The one grid executor behind run_scenario and run_scenario_stream:
+/// tasks over the rows this shard owns run through an ordered window
+/// (util::ordered_for), so the run holds at most the window and `emit`
+/// sees the points in grid order whatever the worker count.
 RunStats execute(const Scenario& scenario, const RunOptions& options,
                  const PointSink& emit) {
   using Clock = std::chrono::steady_clock;
@@ -268,7 +264,7 @@ RunStats execute(const Scenario& scenario, const RunOptions& options,
   SolveCache transient;
   // Without a caller's cache, a bounded transient one still coalesces
   // duplicate points and shared ideal solves; unbounded, it would hold
-  // every result of a million-point grid and defeat the block memory
+  // every result of a million-point grid and defeat the window memory
   // bound. Far-apart duplicates may re-solve after eviction —
   // deterministically, so the bytes cannot change. A caller-provided
   // cache is the caller's policy.
@@ -279,136 +275,128 @@ RunStats execute(const Scenario& scenario, const RunOptions& options,
   const std::size_t misses_before = cache.misses();
   const std::size_t evictions_before = cache.evictions();
 
-  // The rows this shard owns, ascending — the round-robin split the
-  // merge tool inverts.
-  std::vector<std::size_t> owned;
-  for (std::size_t r = options.shard_index; r < st.rows_total;
-       r += options.shard_count) {
-    owned.push_back(r);
-  }
-  st.rows_owned = owned.size();
+  // This shard owns rows shard_index, shard_index + shard_count, ... —
+  // the round-robin split the merge tool inverts.
+  st.rows_owned = (st.rows_total + options.shard_count - 1 -
+                   options.shard_index) / options.shard_count;
   st.unique_points = st.rows_owned * st.row_length;
+  // A warm task is a whole row, solved left to right (hint chains never
+  // cross rows); a cold task is one point. The participants are the
+  // caller and the pool's threads, at most one per task; the window holds
+  // one task more, or block_points points, but never more than all tasks.
+  const std::size_t task_points = st.warm ? st.row_length : 1;
+  const std::size_t tasks = st.unique_points / task_points;
+  const std::size_t participants =
+      std::clamp<std::size_t>(tasks, 1, st.workers + 1);
   const std::size_t block_points =
       options.block_points != 0 ? options.block_points : 4096;
-  const std::size_t rows_per_block =
-      std::max<std::size_t>(1, block_points / st.row_length);
+  const std::size_t window = std::min(
+      std::max(participants + 1,
+               (block_points + task_points - 1) / task_points),
+      std::max<std::size_t>(tasks, 1));
+  const auto grid_index = [&](std::size_t j) {  // j: owned-point ordinal
+    return (j / st.row_length * options.shard_count + options.shard_index) *
+               st.row_length + j % st.row_length;
+  };
   st.expand_seconds = elapsed(start);
   obs::time_add("exp.stage.expand", st.expand_seconds);
 
   std::map<std::string, std::size_t> counts;
-  std::size_t warm_solves = 0;
+  std::atomic<std::size_t> hinted = 0;
+  std::atomic<std::size_t> warm_solves = 0;
+  std::atomic<double> simulated_seconds = 0;  // summed over the threads
   const auto loop_start = Clock::now();
-  for (std::size_t begin = 0; begin < owned.size(); begin += rows_per_block) {
-    const std::size_t rows = std::min(rows_per_block, owned.size() - begin);
-    const std::size_t n = rows * st.row_length;
-    const auto grid_index = [&](std::size_t j) {
-      return owned[begin + j / st.row_length] * st.row_length +
-             j % st.row_length;
-    };
-    std::vector<core::MmsConfig> configs(n);
-    std::vector<PointResult> points(n);
-    const auto solve = [&](std::size_t j, WarmChain* chain) {
-      const std::size_t i = grid_index(j);
-      obs::Span point_span("exp.point", "exp", run_span_id);
-      point_span.arg("index", static_cast<double>(i));
-      const auto t_point = Clock::now();
-      configs[j] = config_at(scenario, i);
-      compute_point(configs[j], scenario, cache, options, points[j], chain);
-      obs::observe("exp.point.latency_seconds", elapsed(t_point));
-      point_span.arg("cache_hit", points[j].cache_hit ? 1.0 : 0.0);
-    };
-    // A warm task is a whole row, solved left to right (hint chains never
-    // cross rows); a cold task is one point.
-    std::vector<WarmStats> warm(st.warm ? rows : 0);
-    if (st.warm) {
-      util::parallel_for(
-          rows,
-          [&](std::size_t r) {
-            WarmChain chain;
-            for (std::size_t k = 0; k < st.row_length; ++k) {
-              solve(r * st.row_length + k, &chain);
-            }
-            warm[r] = chain.stats;
-          },
-          workers);
-    } else {
-      util::parallel_for(n, [&](std::size_t j) { solve(j, nullptr); },
-                         workers);
-      order_cache_misses(scenario, configs, points);
-    }
-
-    // Simulator validation of the block's targets, skipping points whose
-    // model solve already failed (the simulator would reject them too).
-    if (scenario.validation.has_value()) {
-      const auto validate_start = Clock::now();
-      std::vector<std::size_t> wanted;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (validate_all || std::binary_search(targets.begin(), targets.end(),
-                                               grid_index(j))) {
-          wanted.push_back(j);
+  {
+    std::optional<util::ThreadPool> own_pool;
+    util::ThreadPool& pool = workers != 0 ? own_pool.emplace(workers)
+                                          : util::ThreadPool::shared();
+    // Task t keeps its points in slot t % window, task_points long;
+    // emission resets each point, freeing what it held.
+    std::vector<core::MmsConfig> configs(window * task_points);
+    std::vector<PointResult> points(window * task_points);
+    const auto run_task = [&](std::size_t t) {
+      const std::size_t slot = t % window * task_points;
+      WarmChain chain;
+      for (std::size_t k = 0; k < task_points; ++k) {
+        const std::size_t i = grid_index(t * task_points + k);
+        core::MmsConfig& cfg = configs[slot + k];
+        PointResult& point = points[slot + k];
+        {
+          obs::Span point_span("exp.point", "exp", run_span_id);
+          point_span.arg("index", static_cast<double>(i));
+          const auto t_point = Clock::now();
+          cfg = config_at(scenario, i);
+          compute_point(cfg, scenario, cache, options, point,
+                        st.warm ? &chain : nullptr);
+          obs::observe("exp.point.latency_seconds", elapsed(t_point));
+          point_span.arg("cache_hit", point.cache_hit ? 1.0 : 0.0);
         }
-      }
-      util::parallel_for(
-          wanted.size(),
-          [&](std::size_t w) {
-            const std::size_t j = wanted[w];
-            const std::size_t i = grid_index(j);
-            PointResult& point = points[j];
-            if (point.model.error) return;
-            // Simulations are not iterative solvers, so the run-wide
-            // token is honoured between points: once it fires, remaining
-            // targets are marked instead of simulated.
-            if (options.cancel != nullptr && options.cancel->expired()) {
-              point.model.error =
-                  "validation: deadline expired before simulation started";
-              point.model.error_code =
-                  qn::SolverErrorCode::kDeadlineExceeded;
-              return;
-            }
-            obs::Span sim_span("exp.sim_point", "exp", run_span_id);
-            sim_span.arg("index", static_cast<double>(i));
-            try {
-              point.sim = simulate_point(configs[j], *scenario.validation, i);
-            } catch (const std::exception& e) {
-              point.model.error = std::string("validation: ") + e.what();
-            }
-          },
-          workers);
-      st.validate_seconds += elapsed(validate_start);
-    }
-
-    // Ordered single-threaded emission: points leave in grid order, so a
-    // shard's output is deterministic whatever the worker count, and
-    // shards interleave back to the single-process bytes.
-    for (std::size_t j = 0; j < n; ++j) {
-      const PointResult& p = points[j];
-      if (p.model.error) {
-        ++st.failed_points;
-        if (p.model.error_code == qn::SolverErrorCode::kDeadlineExceeded) {
-          ++st.deadline_points;
+        // Simulator validation of a target, skipping a point whose model
+        // solve already failed (the simulator would reject it too).
+        if (point.model.error ||
+            (!validate_all &&
+             !std::binary_search(targets.begin(), targets.end(), i))) {
+          continue;
         }
-        ++counts["error"];
-      } else {
-        if (!p.model.healthy() || p.ideal_degraded) ++st.degraded_points;
-        ++counts[qn::solver_kind_name(p.model.perf.solver)];
-        st.total_iterations +=
-            static_cast<std::size_t>(p.model.perf.solver_iterations);
-        if (p.sim.has_value()) ++st.simulated_points;
+        const auto validate_start = Clock::now();
+        // Simulations are not iterative solvers, so the run-wide token is
+        // honoured between points: once it fires, remaining targets are
+        // marked instead of simulated.
+        if (options.cancel != nullptr && options.cancel->expired()) {
+          point.model.error =
+              "validation: deadline expired before simulation started";
+          point.model.error_code = qn::SolverErrorCode::kDeadlineExceeded;
+        } else {
+          obs::Span sim_span("exp.sim_point", "exp", run_span_id);
+          sim_span.arg("index", static_cast<double>(i));
+          try {
+            point.sim = simulate_point(cfg, *scenario.validation, i);
+          } catch (const std::exception& e) {
+            point.model.error = std::string("validation: ") + e.what();
+          }
+        }
+        simulated_seconds += elapsed(validate_start);
       }
-      emit(grid_index(j), configs[j], points[j]);
-    }
-    for (const WarmStats& row : warm) {
-      st.warm_points += row.hinted;
-      warm_solves += row.solves;
-    }
-    obs::count("exp.stream.blocks");
+      if (st.warm) {  // cold tasks skip the shared counters
+        hinted += chain.hinted;
+        warm_solves += chain.solves;
+      }
+    };
+    // Ordered emission: points leave in grid order, so a shard's output
+    // is deterministic whatever the worker count, and shards interleave
+    // back to the single-process bytes.
+    const auto emit_task = [&](std::size_t t) {
+      const std::size_t slot = t % window * task_points;
+      for (std::size_t k = 0; k < task_points; ++k) {
+        PointResult& p = points[slot + k];
+        if (p.model.error) {
+          ++st.failed_points;
+          if (p.model.error_code == qn::SolverErrorCode::kDeadlineExceeded) {
+            ++st.deadline_points;
+          }
+          ++counts["error"];
+        } else {
+          if (!p.model.healthy() || p.ideal_degraded) ++st.degraded_points;
+          ++counts[qn::solver_kind_name(p.model.perf.solver)];
+          st.total_iterations +=
+              static_cast<std::size_t>(p.model.perf.solver_iterations);
+          if (p.sim.has_value()) ++st.simulated_points;
+        }
+        emit(grid_index(t * task_points + k), configs[slot + k], p);
+        p = {};
+      }
+    };
+    util::ordered_for(pool, tasks, window, run_task, emit_task);
   }
+  // Validation overlaps the solves: its stage time is its thread share.
+  st.validate_seconds = simulated_seconds / static_cast<double>(participants);
   st.solve_seconds = elapsed(loop_start) - st.validate_seconds;
   obs::time_add("exp.stage.solve", st.solve_seconds);
   if (scenario.validation.has_value()) {
     obs::time_add("exp.stage.validate", st.validate_seconds);
   }
 
+  st.warm_points = hinted;
   st.solves = (cache.misses() - misses_before) + warm_solves;
   st.cache_hits = cache.hits() - hits_before;
   st.cache_evictions = cache.evictions() - evictions_before;
@@ -577,6 +565,7 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
         run.grid.push_back(std::move(cfg));
         run.points.push_back(std::move(point));
       });
+  order_cache_misses(scenario, run.grid, run.points);
   return run;
 }
 

@@ -1,9 +1,9 @@
-// Batch execution of a Scenario through one grid executor: it solves the
-// grid a block of points at a time in parallel through the SolveCache,
-// with per-point failure isolation and optional warm-start chaining along
-// each row, runs the block's simulator validation, and hands the points
-// on in grid order — into memory (run_scenario) or straight to CSV/JSONL
-// sinks (run_scenario_stream). Results serialize as CSV + JSON plus a run
+// Batch execution of a Scenario through one grid executor: its threads
+// solve the grid through a bounded window via the SolveCache, with
+// per-point failure isolation and optional warm-start chaining along each
+// row, run simulator validation, and hand the points on in grid order —
+// into memory (run_scenario) or straight to CSV/JSONL sinks
+// (run_scenario_stream). Results serialize as CSV + JSON plus a run
 // manifest recording provenance.
 //
 // Determinism contract: for a given scenario content and build, the
@@ -70,7 +70,7 @@ struct RunStats {
   std::size_t failed_points = 0;   ///< no answer at all (error recorded)
   std::size_t deadline_points = 0; ///< of the failed: hit a deadline/timeout
   std::size_t simulated_points = 0;
-  std::size_t workers = 0;         ///< worker threads used
+  std::size_t workers = 0;         ///< pool threads (the caller works too)
   // --- grid geometry and sharding (DESIGN.md §15) ---
   std::size_t row_length = 0;      ///< points per row (last-axis size)
   std::size_t rows_total = 0;      ///< rows in the full grid
@@ -86,8 +86,10 @@ struct RunStats {
   // exp.stage.* timers when one is installed); `latol profile` prints
   // these as its stage table.
   double expand_seconds = 0;    ///< set-up before the first solve
-  double solve_seconds = 0;     ///< model solves and point emission
-  double validate_seconds = 0;  ///< simulator validation (0 when skipped)
+  double solve_seconds = 0;     ///< the rest of the solve/emit loop
+  /// Simulator time summed over the threads, divided by their count (0
+  /// when skipped): validation overlaps the solves.
+  double validate_seconds = 0;
   /// Points answered per solver kind, name -> count, sorted by name.
   std::vector<std::pair<std::string, std::size_t>> solver_counts;
 };
@@ -120,16 +122,16 @@ struct RunOptions {
   /// reproduces the single-process artifacts byte-for-byte.
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  /// Upper bound on the points solved before they are handed on (rounded
-  /// up to whole rows). 0 picks a default (4096). For the streaming
-  /// runner this is the memory bound: a million-point sweep holds
-  /// block_points results, never the whole grid.
+  /// The points the executor's window holds, in whole tasks and at least
+  /// one task more than its threads. 0 picks a default (4096). For the
+  /// streaming runner this is the memory bound: a million-point sweep
+  /// holds the window's results, never the whole grid.
   std::size_t block_points = 0;
 };
 
 /// Output sinks for the streaming runner; null sinks are skipped. Rows
-/// are written in grid order as each block completes, so memory stays
-/// bounded by RunOptions::block_points.
+/// are written in grid order as they leave the executor's window, so
+/// memory stays bounded by the window (RunOptions::block_points).
 struct StreamSinks {
   std::ostream* csv = nullptr;    ///< header + one line per point
   std::ostream* jsonl = nullptr;  ///< one compact JSON object per point
@@ -149,9 +151,10 @@ struct RunResult {
 /// outside the grid); individual point failures are captured in
 /// PointResult::model.error, never thrown.
 ///
-/// Both runners are one executor. It solves the grid a block of
-/// RunOptions::block_points points at a time, in parallel: a task is one
-/// point, or a whole row when warm starting. A row is one run of the
+/// Both runners are one executor. The caller and the pool's threads
+/// claim tasks in grid order through a window (RunOptions::block_points):
+/// a task is one point, or a whole row when warm starting, and simulates
+/// each validation target after its solve. A row is one run of the
 /// fastest-varying axis. Warm starting (scenario solver.warm_start or
 /// RunOptions::warm_start) solves each row left to right and seeds each
 /// solve from a linear extrapolation of the two previous solutions
@@ -163,9 +166,9 @@ struct RunResult {
 [[nodiscard]] RunResult run_scenario(const Scenario& scenario,
                                      const RunOptions& options = {});
 
-/// Streaming variant for large sweeps: the same executor, emitting each
-/// block's points to the sinks as soon as the block completes, so at
-/// most RunOptions::block_points results are held in memory. For the same
+/// Streaming variant for large sweeps: the same executor, writing each
+/// point to the sinks as it leaves the window in grid order, so at most
+/// the window's results are held in memory. For the same
 /// scenario and build the emitted bytes equal write_results_csv over
 /// run_scenario — regardless of worker count — and the shards of an i/n
 /// split concatenate (round-robin by row) to the single-process output.

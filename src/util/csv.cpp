@@ -1,17 +1,16 @@
 #include "util/csv.hpp"
 
-#include <limits>
-#include <sstream>
+#include <charconv>
 
 #include "util/error.hpp"
 
 namespace latol::util {
 
 std::string csv_number(double value) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << value;
-  return os.str();
+  char buf[32];  // %.17g needs at most 24
+  const auto result = std::to_chars(buf, buf + sizeof buf, value,
+                                    std::chars_format::general, 17);
+  return std::string(buf, result.ptr);
 }
 
 CsvWriter::CsvWriter(const std::string& path,

@@ -7,10 +7,11 @@
 
 namespace latol::util {
 
-/// Canonical CSV cell formatting for a double: default ostream format at
-/// max round-trip precision (max_digits10). Every CSV the project emits —
-/// bench files, `latol run` results — goes through this one function, so
-/// the same number always renders as the same bytes.
+/// Canonical CSV cell formatting for a double: printf's %.17g, the
+/// default ostream format at max round-trip precision (max_digits10).
+/// Every CSV the project emits — bench files, `latol run` results — goes
+/// through this one function, so the same number always renders as the
+/// same bytes.
 [[nodiscard]] std::string csv_number(double value);
 
 /// Streams rows of doubles/strings to a CSV file. The writer is append-only

@@ -144,4 +144,42 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
   parallel_for(pool, n, body);
 }
 
+void ordered_for(ThreadPool& pool, std::size_t n, std::size_t window,
+                 const std::function<void(std::size_t)>& body,
+                 const std::function<void(std::size_t)>& emit) {
+  LATOL_REQUIRE(window >= 1, "ordered_for needs a window of at least 1");
+  std::atomic<std::size_t> next = 0;   // the next task to claim
+  std::atomic<std::size_t> head = 0;   // the oldest task not yet emitted
+  std::atomic<bool> emitting = false;  // a participant holds the emission
+  std::vector<std::atomic<bool>> finished(window);  // per slot, not emitted
+  std::mutex mutex;  // orders head's updates with waits on a full window
+  std::condition_variable window_opened;
+  parallel_for(pool, std::min(n, pool.worker_count() + 1), [&](std::size_t) {
+    for (std::size_t t = next++; t < n; t = next++) {
+      if (t >= head + window) {
+        std::unique_lock lock(mutex);
+        window_opened.wait(lock, [&] { return t < head + window; });
+      }
+      body(t);
+      finished[t % window] = true;
+      // The holder of `emitting` emits the head while it has finished. A
+      // task finishing as the holder lets go is caught by the re-check.
+      while (!emitting.exchange(true)) {
+        std::size_t h = head;
+        for (; h < n && finished[h % window]; ++h) {
+          emit(h);
+          finished[h % window] = false;
+          {
+            const std::lock_guard lock(mutex);
+            head = h + 1;
+          }
+          window_opened.notify_all();
+        }
+        emitting = false;
+        if (h >= n || !finished[h % window]) break;
+      }
+    }
+  });
+}
+
 }  // namespace latol::util

@@ -74,4 +74,15 @@ void parallel_for(ThreadPool& pool, std::size_t n,
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   std::size_t workers = 0);
 
+/// Run `body(t)` for t in [0, n) on `pool` plus the calling thread (at
+/// most n participants) and `emit(t)` for each in ascending order. Tasks
+/// are claimed in order and none starts `window` (>= 1) or more past the
+/// oldest not yet emitted, so task t may keep state in slot t % window.
+/// Whoever finishes the oldest task emits it and every finished task
+/// behind it while the others keep running tasks. Blocks until all are
+/// emitted; neither callback may throw.
+void ordered_for(ThreadPool& pool, std::size_t n, std::size_t window,
+                 const std::function<void(std::size_t)>& body,
+                 const std::function<void(std::size_t)>& emit);
+
 }  // namespace latol::util

@@ -434,7 +434,7 @@ TEST(CliParse, RejectsMalformedShardSpecs) {
                InvalidArgument);
   EXPECT_THROW((void)parse_command_line({"run", "a.json", "--shard", "1/0"}),
                InvalidArgument);
-  // The block bound is not a flag (RunOptions::block_points sets it).
+  // The window bound is not a flag (RunOptions::block_points sets it).
   try {
     (void)parse_command_line({"run", "a.json", "--block-points", "512"});
     ADD_FAILURE() << "--block-points parsed";
@@ -575,6 +575,45 @@ TEST_F(CliRunScenario, StreamRejectsResultBasedInstrumentation) {
   EXPECT_EQ(cli_main({"run", path, "--out", dir_, "--format", "jsonl"},
                      out, err),
             2);
+}
+
+TEST_F(CliRunScenario, WarmStartAloneRunsMaterialized) {
+  const std::string path = write_scenario(R"({
+    "name": "warmmat",
+    "base": {"k": 2},
+    "axes": [
+      {"param": "threads", "values": [1, 2]},
+      {"param": "p_remote", "values": [0.1, 0.2, 0.3]}
+    ],
+    "outputs": {"network_tolerance": true}
+  })");
+  std::ostringstream out, err;
+  // --warm-start alone keeps the materialized run: a .json document, no
+  // .jsonl, and the result-based instrumentation is allowed.
+  ASSERT_EQ(cli_main({"run", path, "--out", dir_ + "/m", "--no-cache",
+                      "--warm-start", "--metrics-out", dir_ + "/m.json"},
+                     out, err),
+            0)
+      << err.str();
+  EXPECT_TRUE(std::filesystem::exists(dir_ + "/m/warmmat.json"));
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/m/warmmat.jsonl"));
+  EXPECT_EQ(io::parse_json_file(dir_ + "/m.json")
+                .find("points")
+                ->as_array()
+                .size(),
+            6u);
+  EXPECT_NE(out.str().find("warm start: 4 of 6 points hinted"),
+            std::string::npos)
+      << out.str();
+  // Streamed, the same warm run writes the same CSV bytes.
+  ASSERT_EQ(cli_main({"run", path, "--out", dir_ + "/s", "--no-cache",
+                      "--warm-start", "--stream"},
+                     out, err),
+            0)
+      << err.str();
+  EXPECT_TRUE(std::filesystem::exists(dir_ + "/s/warmmat.jsonl"));
+  EXPECT_EQ(read_all(dir_ + "/s/warmmat.csv"),
+            read_all(dir_ + "/m/warmmat.csv"));
 }
 
 TEST_F(CliRunScenario, FormatJsonSkipsCsv) {

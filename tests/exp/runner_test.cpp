@@ -63,10 +63,8 @@ TEST(Runner, SharesIdealSolvesThroughTheCache) {
 TEST(Runner, DeduplicatesIdenticalGridPoints) {
   // The cache deduplicates: a duplicate grid point costs no second solve,
   // only a hit on the first occurrence's entry, and gets equal values.
-  // Points 7 and 8 are equal: 7 ends the half of the block the caller
-  // solves and 8 starts the half one pool thread solves, so the later
-  // copy usually solves first; the first in grid order still reports the
-  // miss.
+  // Points 7 and 8 are equal and may solve at the same time, in either
+  // order; the first in grid order still reports the miss.
   SolveCache cache;
   RunOptions opts;
   opts.cache = &cache;
@@ -89,6 +87,40 @@ TEST(Runner, DeduplicatesIdenticalGridPoints) {
             run.points[8].model.perf.processor_utilization);
   EXPECT_EQ(run.points[7].model.perf.solver_iterations,
             run.points[8].model.perf.solver_iterations);
+}
+
+TEST(Runner, DuplicatePointsReportTheSameCacheHitsAtEveryWorkerCount) {
+  // Three rows of the same four points, and a repeat inside each row:
+  // copies solve concurrently in any order, yet the flags are the grid
+  // order's (the first copy misses, every later copy hits).
+  const Scenario scenario = from_text(R"({
+    "name": "manydupes",
+    "base": {"k": 2},
+    "axes": [
+      {"param": "memory_latency", "values": [1, 1, 1]},
+      {"param": "p_remote", "values": [0.1, 0.2, 0.1, 0.3, 0.4]}
+    ]
+  })");
+  const auto flags = [&](std::size_t workers) {
+    SolveCache cache;
+    RunOptions opts;
+    opts.cache = &cache;
+    opts.workers = workers;
+    opts.block_points = 1;
+    const RunResult run = run_scenario(scenario, opts);
+    std::vector<bool> hit;
+    for (const PointResult& p : run.points) hit.push_back(p.cache_hit);
+    return hit;
+  };
+  const std::vector<bool> serial = flags(1);
+  const std::vector<bool> expected = {false, false, true, false, false,
+                                      true,  true,  true, true,  true,
+                                      true,  true,  true, true,  true};
+  EXPECT_EQ(serial, expected);
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    EXPECT_EQ(flags(4), serial);
+    EXPECT_EQ(flags(8), serial);
+  }
 }
 
 TEST(Runner, RethrowsAPointErrorAsTheExceptionItsSolveRaised) {

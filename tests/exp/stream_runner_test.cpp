@@ -106,7 +106,7 @@ TEST(StreamRunner, WorkerCountAndBlockSizeDoNotChangeBytes) {
   opts.workers = 8;
   EXPECT_EQ(stream_csv(scenario, opts), serial);
   opts.workers = 3;
-  opts.block_points = 1;  // rounds up to one row per block
+  opts.block_points = 1;  // a window of one task more than the threads
   EXPECT_EQ(stream_csv(scenario, opts), serial);
 }
 
@@ -242,6 +242,87 @@ TEST(StreamRunner, IsolatesFailuresAndResetsTheWarmChain) {
   // The failed point renders with solver "error" like the materialized
   // runner; healthy points around it still carry real numbers.
   EXPECT_NE(csv.find("error"), std::string::npos);
+}
+
+// 16 rows x 4 points; with block_points = 1 the window is one task more
+// than the participants, far smaller than the grid, so tasks finish out
+// of order and wait in the window for the head.
+constexpr const char* kSixteenRows = R"({
+  "name": "sixteen",
+  "base": {"k": 2},
+  "axes": [
+    {"param": "threads", "range": {"from": 1, "to": 16, "steps": 16}},
+    {"param": "p_remote", "values": [0.05, 0.1, 0.2, 0.3]}
+  ],
+  "outputs": {"network_tolerance": true}
+})";
+
+std::string stream_jsonl(const Scenario& scenario, const RunOptions& opts) {
+  std::ostringstream jsonl;
+  StreamSinks sinks;
+  sinks.jsonl = &jsonl;
+  (void)run_scenario_stream(scenario, opts, sinks);
+  return jsonl.str();
+}
+
+TEST(StreamRunner, WindowSmallerThanTheGridKeepsBytesAtEveryWorkerCount) {
+  for (const bool warm : {false, true}) {
+    Scenario scenario = from_text(kSixteenRows);
+    scenario.warm_start = warm;
+    std::ostringstream materialized;
+    write_results_csv(scenario, run_scenario(scenario), materialized);
+    RunOptions opts;
+    opts.block_points = 1;
+    opts.workers = 1;
+    const std::string csv = stream_csv(scenario, opts);
+    const std::string jsonl = stream_jsonl(scenario, opts);
+    EXPECT_EQ(csv, materialized.str()) << "warm " << warm;
+    for (const std::size_t workers : {3u, 8u}) {
+      opts.workers = workers;
+      EXPECT_EQ(stream_csv(scenario, opts), csv)
+          << "warm " << warm << ", " << workers << " workers";
+      EXPECT_EQ(stream_jsonl(scenario, opts), jsonl)
+          << "warm " << warm << ", " << workers << " workers";
+    }
+  }
+}
+
+TEST(StreamRunner, LateValidationAndMidRowFailuresMatchAtEveryWorkerCount) {
+  // p_remote = 2 fails the second point of every row, so each warm chain
+  // resets mid-row; the validation target sits in the last row.
+  Scenario scenario = from_text(R"({
+    "name": "latecheck",
+    "base": {"k": 2},
+    "axes": [
+      {"param": "threads", "range": {"from": 1, "to": 16, "steps": 16}},
+      {"param": "p_remote", "values": [0.1, 2.0, 0.2, 0.3]}
+    ],
+    "validation": {"engine": "des", "time": 500, "seed": 9, "points": [62]},
+    "outputs": {"columns": ["n_t", "p_remote", "U_p", "sim_U_p", "solver",
+                            "error"]}
+  })");
+  for (const bool warm : {false, true}) {
+    scenario.warm_start = warm;
+    RunOptions opts;
+    opts.block_points = 1;
+    opts.workers = 1;
+    RunStats serial;
+    const std::string csv = stream_csv(scenario, opts, &serial);
+    EXPECT_EQ(serial.simulated_points, 1u);
+    EXPECT_EQ(serial.failed_points, 16u);
+    EXPECT_EQ(serial.warm_points, warm ? 32u : 0u);
+    EXPECT_NE(csv.find("\n16,0.20000000000000001,"), std::string::npos);
+    for (const std::size_t workers : {3u, 8u}) {
+      opts.workers = workers;
+      RunStats st;
+      EXPECT_EQ(stream_csv(scenario, opts, &st), csv)
+          << "warm " << warm << ", " << workers << " workers";
+      EXPECT_EQ(st.simulated_points, serial.simulated_points);
+      EXPECT_EQ(st.failed_points, serial.failed_points);
+      EXPECT_EQ(st.warm_points, serial.warm_points);
+      EXPECT_EQ(st.total_iterations, serial.total_iterations);
+    }
+  }
 }
 
 TEST(StreamRunner, ManifestRecordsAxisGeometryShardAndWarmSections) {

@@ -118,5 +118,49 @@ TEST(ParallelFor, NestedOnSharedPoolCompletes) {
   EXPECT_EQ(total.load(), 8 * (15L * 16 / 2));
 }
 
+TEST(ParallelFor, OrderedForEmitsEveryTaskInOrderWithinTheWindow) {
+  for (const std::size_t window : {1u, 2u, 5u, 64u}) {
+    for (const std::size_t workers : {1u, 3u, 8u}) {
+      ThreadPool pool(workers);
+      const std::size_t n = 200;
+      std::vector<std::size_t> slot_owner(window, n);
+      std::vector<std::size_t> emitted;
+      std::atomic<std::size_t> started{0};
+      std::atomic<std::size_t> done{0};
+      std::atomic<bool> overran{false};
+      ordered_for(
+          pool, n, window,
+          [&](std::size_t t) {
+            ++started;
+            // A task never runs a window or more ahead of emission.
+            if (t >= done.load() + window) overran = true;
+            slot_owner[t % window] = t;
+            // Uneven work, so later tasks often finish first.
+            volatile double x = 0;
+            for (std::size_t k = 0; k < (t % 7) * 500; ++k) x = x + 1.0;
+          },
+          [&](std::size_t t) {
+            EXPECT_EQ(slot_owner[t % window], t);
+            emitted.push_back(t);
+            ++done;
+          });
+      std::vector<std::size_t> expected(n);
+      std::iota(expected.begin(), expected.end(), 0);
+      EXPECT_EQ(emitted, expected) << window << " / " << workers;
+      EXPECT_EQ(started.load(), n);
+      EXPECT_FALSE(overran.load()) << window << " / " << workers;
+    }
+  }
+}
+
+TEST(ParallelFor, OrderedForHandlesNoTasksAndRejectsAnEmptyWindow) {
+  ThreadPool pool(2);
+  ordered_for(
+      pool, 0, 4, [](std::size_t) { FAIL() << "must not run"; },
+      [](std::size_t) { FAIL() << "must not emit"; });
+  EXPECT_THROW(ordered_for(pool, 3, 0, [](std::size_t) {}, [](std::size_t) {}),
+               InvalidArgument);
+}
+
 }  // namespace
 }  // namespace latol::util
