@@ -99,6 +99,86 @@ TEST(PaperGoldens, ScalingFamilySizes) {
   EXPECT_EQ(check_goldens("scaling"), 21);
 }
 
+// --- Asymmetric goldens ------------------------------------------------------
+//
+// Meshes and hotspot machines, pinned like the paper grids (1e-9
+// relative) so their symmetry-group reduction can move the last bits.
+
+struct AsymmetricGolden {
+  const char* grid;
+  topo::TopologyKind topology;
+  int k;
+  topo::AccessPattern pattern;
+  int threads;
+  double p_remote;
+  int hotspot_node;
+  double hotspot_fraction;
+  double up, lambda, lambda_net, s_obs, l_obs, tol_network, tol_memory;
+};
+
+constexpr auto kMesh = topo::TopologyKind::kMesh2D;
+
+constexpr AsymmetricGolden kAsymmetricGoldens[] = {
+#include "asymmetric_goldens.inc"
+};
+
+/// Checks every asymmetric golden row of `grid`; returns how many there
+/// were.
+int check_asymmetric_goldens(const char* grid) {
+  int rows = 0;
+  for (const AsymmetricGolden& g : kAsymmetricGoldens) {
+    if (std::strcmp(g.grid, grid) != 0) continue;
+    ++rows;
+    MmsConfig cfg = MmsConfig::paper_defaults();
+    cfg.topology = g.topology;
+    cfg.k = g.k;
+    cfg.traffic.pattern = g.pattern;
+    cfg.threads_per_processor = g.threads;
+    cfg.p_remote = g.p_remote;
+    cfg.traffic.hotspot_node = g.hotspot_node;
+    cfg.traffic.hotspot_fraction = g.hotspot_fraction;
+    SCOPED_TRACE(testing::Message()
+                 << grid << " " << topo::topology_kind_name(g.topology)
+                 << " k=" << g.k << " pattern=" << static_cast<int>(g.pattern)
+                 << " n_t=" << g.threads << " p_remote=" << g.p_remote
+                 << " hotspot " << g.hotspot_node << " @ "
+                 << g.hotspot_fraction);
+    const ToleranceResult net = tolerance_index(cfg, Subsystem::kNetwork);
+    const ToleranceResult mem = tolerance_index(cfg, Subsystem::kMemory);
+    const MmsPerformance& a = net.actual;
+    expect_golden("U_p", a.processor_utilization, g.up);
+    expect_golden("lambda", a.access_rate, g.lambda);
+    expect_golden("lambda_net", a.message_rate, g.lambda_net);
+    expect_golden("S_obs", a.network_latency, g.s_obs);
+    expect_golden("L_obs", a.memory_latency, g.l_obs);
+    expect_golden("tol_network", net.index, g.tol_network);
+    expect_golden("tol_memory", mem.index, g.tol_memory);
+  }
+  return rows;
+}
+
+TEST(AsymmetricGoldens, Meshes) { EXPECT_EQ(check_asymmetric_goldens("mesh"), 44); }
+
+TEST(AsymmetricGoldens, ToriWithAHotspotAtNodeZero) {
+  EXPECT_EQ(check_asymmetric_goldens("hotspot0"), 39);
+}
+
+TEST(AsymmetricGoldens, ToriWithAHotspotOnTheDiagonal) {
+  EXPECT_EQ(check_asymmetric_goldens("hotspot_diagonal"), 10);
+}
+
+TEST(AsymmetricGoldens, ToriWithAHotspotOffTheDiagonal) {
+  EXPECT_EQ(check_asymmetric_goldens("hotspot_off_diagonal"), 10);
+}
+
+TEST(AsymmetricGoldens, MeshHotspotsThatSomeReflectionFixes) {
+  EXPECT_EQ(check_asymmetric_goldens("mesh_hotspot_fixed"), 10);
+}
+
+TEST(AsymmetricGoldens, MeshHotspotsThatNoReflectionFixes) {
+  EXPECT_EQ(check_asymmetric_goldens("mesh_hotspot_free"), 6);
+}
+
 // --- §5 / Table 2 -----------------------------------------------------------
 
 TEST(PaperResults, Table2NetworkToleranceAtDefaults) {
