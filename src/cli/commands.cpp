@@ -246,10 +246,12 @@ int cmd_analyze(const CliOptions& opts, std::ostream& out) {
 
 int cmd_tolerance(const CliOptions& opts, std::ostream& out) {
   print_machine(opts.config, out);
+  // The network index solves the actual system; the memory index reuses it.
   const core::ToleranceResult net = core::tolerance_index(
       opts.config, core::Subsystem::kNetwork, opts.amva);
   const core::ToleranceResult mem = core::tolerance_index(
-      opts.config, core::Subsystem::kMemory, opts.amva);
+      opts.config, net.actual, core::Subsystem::kMemory,
+      core::default_method(core::Subsystem::kMemory), opts.amva);
   out << "tol_network = " << net.index << " (" << core::zone_name(net.zone())
       << ")\n"
       << "tol_memory  = " << mem.index << " (" << core::zone_name(mem.zone())

@@ -1,7 +1,9 @@
 #include "core/mms_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -216,9 +218,10 @@ MmsPerformance node_measures(const MmsConfig& cfg, double d_avg,
 
 /// How the measures-only entry points solve a config (DESIGN.md §2.3).
 enum class Reduction {
-  kNone,       ///< the full P-class network
-  kComponent,  ///< p_remote = 0: node 0's processor and memory alone
-  kOrbits,     ///< translation-symmetric: class 0's row, 4 station orbits
+  kNone,          ///< the full P-class network
+  kComponent,     ///< p_remote = 0: node 0's processor and memory alone
+  kTranslations,  ///< class 0's row, 4 station orbits
+  kPointGroup,    ///< one class per orbit of point_group_orbits()
 };
 
 /// With p_remote = 0 and no open arrivals each class visits only its own
@@ -226,8 +229,11 @@ enum class Reduction {
 /// 2-station networks, whatever the topology. On a torus, ring or
 /// hypercube without a hotspot, node translations carry every class's
 /// row onto class 0's, so every station of one PE type holds the same
-/// total: the sum of class 0's queues over that type. Both reductions
-/// need an AMVA-first chain, the only kernel that reads an orbit map.
+/// total: the sum of class 0's queues over that type. A mesh, or a torus
+/// with a hotspot, keeps the reflections and the axis swap about its
+/// centre or the hotspot, which point_group_orbits() verifies row by
+/// row. Every reduction needs an AMVA-first chain, the only kernel that
+/// reads an orbit map.
 Reduction reduction_for(const MmsConfig& config,
                         const qn::RobustOptions& options) {
   if (options.chain.empty() || options.chain.front() != qn::SolverKind::kAmva ||
@@ -237,22 +243,68 @@ Reduction reduction_for(const MmsConfig& config,
   if (config.p_remote == 0.0) return Reduction::kComponent;
   const topo::TrafficConfig& t = config.traffic;
   const bool hotspot = t.hotspot_node >= 0 && t.hotspot_fraction > 0.0;
-  return config.topology == topo::TopologyKind::kMesh2D || hotspot
-             ? Reduction::kNone
-             : Reduction::kOrbits;
+  if (config.topology == topo::TopologyKind::kMesh2D ||
+      (hotspot && config.topology == topo::TopologyKind::kTorus2D)) {
+    return Reduction::kPointGroup;
+  }
+  return hotspot ? Reduction::kNone : Reduction::kTranslations;
 }
 
-/// Class 0's row of the full network, one station orbit per PE type.
-qn::ClosedNetwork class0_network(const MmsModel& model) {
+/// Node n's image under D4 element `e` about the point (cx2/2, cy2/2) of
+/// a k x k grid (node n at x = n % k, y = n / k): bit 2 of `e` swaps the
+/// axes about the point, then bits 0 and 1 mirror x and y through it.
+/// `wrap` takes the image mod k, as on a torus.
+int d4_image(int k, int cx2, int cy2, bool wrap, int n, int e) {
+  int u = 2 * (n % k) - cx2;
+  int v = 2 * (n / k) - cy2;
+  if ((e & 4) != 0) std::swap(u, v);
+  if ((e & 1) != 0) u = -u;
+  if ((e & 2) != 0) v = -v;
+  int x = (u + cx2) / 2;
+  int y = (v + cy2) / 2;
+  if (wrap) {
+    x = (x % k + k) % k;
+    y = (y % k + k) % k;
+  }
+  return y * k + x;
+}
+
+/// True when `image` carries every class row onto its image: class n's
+/// visit ratio at PE m's station of each type equals class image[n]'s at
+/// PE image[m]'s, within 1e-12 relative. A mirrored row sums its routes
+/// in another order, so equality is not bitwise.
+bool carries_rows(const std::vector<std::vector<double>>& rows,
+                  const std::vector<std::size_t>& image) {
+  for (std::size_t n = 0; n < rows.size(); ++n) {
+    for (std::size_t m = 0; m < rows[n].size(); ++m) {
+      const double a = rows[n][m];
+      const double b = rows[image[n]][4 * image[m / 4] + m % 4];
+      if (std::fabs(a - b) > 1e-12 * std::max(std::fabs(a), std::fabs(b))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// The representatives' rows of the full network, one station orbit per
+/// (node orbit, PE type), each class weighted by its orbit's size. Class
+/// 0's reduction is the one-orbit case.
+qn::ClosedNetwork reduced_network(const MmsModel& model,
+                                  const NodeOrbits& orbits) {
   const MmsConfig& config = model.config();
   qn::ClosedNetwork net(
-      make_station_list(config, model.topology().num_nodes()), 1);
-  fill_class(net, 0, config, model.class_visits(0));
+      make_station_list(config, model.topology().num_nodes()),
+      orbits.rep.size());
+  for (std::size_t r = 0; r < orbits.rep.size(); ++r) {
+    fill_class(net, r, config,
+               model.class_visits(static_cast<int>(orbits.rep[r])));
+  }
   std::vector<std::uint32_t> orbit(net.num_stations());
   for (std::size_t m = 0; m < orbit.size(); ++m) {
-    orbit[m] = static_cast<std::uint32_t>(m % 4);
+    orbit[m] = 4 * orbits.of[m / 4] + static_cast<std::uint32_t>(m % 4);
   }
-  net.set_station_orbits(std::move(orbit));
+  net.set_station_orbits(std::move(orbit), orbits.size);
   return net;
 }
 
@@ -269,6 +321,65 @@ qn::ClosedNetwork component_network(const MmsConfig& config) {
 }
 
 }  // namespace
+
+NodeOrbits point_group_orbits(const MmsModel& model) {
+  const MmsConfig& config = model.config();
+  const auto P = static_cast<std::size_t>(model.topology().num_nodes());
+  const bool mesh = config.topology == topo::TopologyKind::kMesh2D;
+  NodeOrbits orbits;
+  std::vector<std::vector<std::size_t>> seen(1, std::vector<std::size_t>(P));
+  std::iota(seen[0].begin(), seen[0].end(), 0);  // the identity
+  if (mesh || (config.topology == topo::TopologyKind::kTorus2D && P >= 2 &&
+               model.traffic().has_hotspot())) {
+    std::vector<std::vector<double>> rows;
+    for (std::size_t n = 0; n < P; ++n) {
+      rows.push_back(model.class_visits(static_cast<int>(n)));
+    }
+    const int k = config.k;
+    const int h = config.traffic.hotspot_node;
+    const int cx2 = mesh ? k - 1 : 2 * (h % k);
+    const int cy2 = mesh ? k - 1 : 2 * (h / k);
+    for (int e = 1; e < 8; ++e) {
+      std::vector<std::size_t> image(P);
+      for (std::size_t n = 0; n < P; ++n) {
+        image[n] = static_cast<std::size_t>(
+            d4_image(k, cx2, cy2, !mesh, static_cast<int>(n), e));
+      }
+      // On a 2 x 2 torus, say, distinct elements act alike.
+      if (std::find(seen.begin(), seen.end(), image) != seen.end()) continue;
+      seen.push_back(image);
+      if (carries_rows(rows, image)) orbits.elements.push_back(image);
+    }
+  }
+  // Union-find over the kept elements, each set rooted at its smallest
+  // node, so orbits number in order of their smallest nodes.
+  std::vector<std::size_t> root(P);
+  std::iota(root.begin(), root.end(), 0);
+  const auto find = [&root](std::size_t n) {
+    while (root[n] != n) n = root[n] = root[root[n]];
+    return n;
+  };
+  for (const std::vector<std::size_t>& image : orbits.elements) {
+    for (std::size_t n = 0; n < P; ++n) {
+      const std::size_t a = find(n);
+      const std::size_t b = find(image[n]);
+      root[std::max(a, b)] = std::min(a, b);
+    }
+  }
+  orbits.of.resize(P);
+  for (std::size_t n = 0; n < P; ++n) {
+    const std::size_t r = find(n);
+    if (r == n) {
+      orbits.rep.push_back(n);
+      orbits.size.push_back(0);
+    }
+    orbits.of[n] = r == n ? static_cast<std::uint32_t>(orbits.rep.size() - 1)
+                          : orbits.of[r];
+    ++orbits.size[orbits.of[n]];
+  }
+  orbits.group = orbits.elements.size() + 1;
+  return orbits;
+}
 
 MmsPerformance extract_performance(const MmsModel& model,
                                    const qn::ClosedNetwork& net,
@@ -369,9 +480,11 @@ std::vector<MmsPerformance> analyze_per_node(const MmsConfig& config,
   return out;
 }
 
-DetailedAnalysis analyze_detailed(const MmsConfig& config,
-                                  const qn::RobustOptions& options) {
-  const MmsModel model(config);
+namespace {
+
+/// analyze_detailed on an already-built model.
+DetailedAnalysis detailed(const MmsModel& model,
+                          const qn::RobustOptions& options) {
   qn::ClosedNetwork net = model.build_network();
   SolvedMms solved = solve_mms(model, net, options);
   MmsPerformance perf = extract_performance(model, net, solved.report.solution);
@@ -380,19 +493,41 @@ DetailedAnalysis analyze_detailed(const MmsConfig& config,
   return DetailedAnalysis{perf, std::move(net), std::move(solved.report)};
 }
 
+}  // namespace
+
+DetailedAnalysis analyze_detailed(const MmsConfig& config,
+                                  const qn::RobustOptions& options) {
+  return detailed(MmsModel(config), options);
+}
+
 RobustAnalysis analyze_robust(const MmsConfig& config,
                               const qn::RobustOptions& options) {
   const Reduction reduction = reduction_for(config, options);
-  if (reduction == Reduction::kNone) {
-    DetailedAnalysis full = analyze_detailed(config, options);
+  std::optional<MmsModel> model;
+  NodeOrbits orbits;
+  if (reduction == Reduction::kTranslations) {
+    model.emplace(config);
+    const int P = model->topology().num_nodes();
+    orbits.of.assign(static_cast<std::size_t>(P), 0);
+    orbits.rep = {0};
+    orbits.size = {P};
+    orbits.group = static_cast<std::size_t>(P);
+  } else if (reduction == Reduction::kPointGroup) {
+    model.emplace(config);
+    orbits = point_group_orbits(*model);
+  }
+  // A trivial group leaves nothing to reduce: today's full path, on the
+  // model whose rows the finder already built.
+  if (reduction == Reduction::kNone || (model && orbits.group == 1)) {
+    DetailedAnalysis full =
+        model ? detailed(*model, options) : analyze_detailed(config, options);
     return RobustAnalysis{std::move(full.perf), std::move(full.report)};
   }
   config.validate();
-  std::optional<MmsModel> model;
-  if (reduction == Reduction::kOrbits) model.emplace(config);
   const qn::ClosedNetwork net =
-      model ? class0_network(*model) : component_network(config);
+      model ? reduced_network(*model, orbits) : component_network(config);
   qn::RobustOptions ropts = options;
+  ropts.group = orbits.group;
   ropts.expand = [&config] { return MmsModel(config).build_network(); };
   qn::SolveReport report = robust_solve_or_throw(net, ropts);
   const bool full = report.solver != qn::SolverKind::kAmva;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -86,10 +87,37 @@ class MmsModel {
   std::unique_ptr<topo::RemoteAccessDistribution> traffic_;
 };
 
+/// Node orbits of a symmetry group of the model's full network: node
+/// permutations that carry every class row onto another class's row.
+struct NodeOrbits {
+  /// Orbit of each node, numbered in order of the orbits' smallest nodes,
+  /// so node 0's orbit is 0.
+  std::vector<std::uint32_t> of;
+  /// Smallest node of each orbit: the class that represents it.
+  std::vector<std::size_t> rep;
+  /// Node count of each orbit.
+  std::vector<long> size;
+  /// The group's non-identity elements, as node permutations (empty for
+  /// the trivial group and for the unlisted translations of class 0's
+  /// reduction).
+  std::vector<std::vector<std::size_t>> elements;
+  /// Order of the group.
+  std::size_t group = 1;
+};
+
+/// The point group of a mesh or a torus with a hotspot (DESIGN.md §2.3):
+/// of the seven non-identity elements of D4 about the mesh centre, or
+/// about the hotspot on a torus, the ones that carry every class row of
+/// the full network onto its image within 1e-12 relative, and the node
+/// orbits they generate. The trivial group, one orbit per node, when none
+/// does, p_remote = 0, or the machine is neither.
+[[nodiscard]] NodeOrbits point_group_orbits(const MmsModel& model);
+
 /// Headline performance measures as seen from node 0 (class 0, its
 /// processor and memory). They describe the whole machine only under
 /// SPMD symmetry (vertex-transitive topology, no hotspot); on a mesh or
-/// with a hotspot they are node 0's view alone (ROADMAP item 1).
+/// with a hotspot they are node 0's view alone (ROADMAP item 1), though
+/// a symmetry-group reduction computes them.
 struct MmsPerformance {
   double processor_utilization = 0;  ///< U_p = lambda * R (Eq. 3)
   double access_rate = 0;            ///< lambda_i: memory accesses per time unit
@@ -168,11 +196,13 @@ struct AnalysisOptions {
 /// MmsPerformance::degraded/solver; throws qn::SolverError only when even
 /// the full fallback chain produced nothing.
 ///
-/// With an AMVA-first chain and no open arrivals the kernel iterates class
-/// 0 alone (DESIGN.md §2.3): node 0's processor and memory when p_remote
-/// = 0, and class 0's row with one station orbit per PE type on a torus,
-/// ring or hypercube without a hotspot. A failed reduced AMVA re-solves
-/// the full network through the rest of the chain.
+/// With an AMVA-first chain and no open arrivals the kernel iterates one
+/// class per symmetry orbit of nodes (DESIGN.md §2.3): node 0's processor
+/// and memory when p_remote = 0; class 0's row with one station orbit per
+/// PE type on a torus, ring or hypercube without a hotspot; and one class
+/// per orbit of point_group_orbits() on a mesh or a torus with a hotspot.
+/// A trivial group solves the full network; a failed reduced AMVA
+/// re-solves it through the rest of the chain.
 [[nodiscard]] MmsPerformance analyze(const MmsConfig& config,
                                      const qn::AmvaOptions& options = {});
 

@@ -17,22 +17,23 @@ std::vector<SweepResult> sweep(std::span<const MmsConfig> grid,
         SweepResult& r = results[i];
         try {
           const MmsConfig& cfg = grid[i];
+          // One actual solve, shared by both indices.
           if (options.network_tolerance) {
             const ToleranceResult t = tolerance_index(
                 cfg, Subsystem::kNetwork, options.network_method, options.amva);
             r.perf = t.actual;
             r.tol_network = t.index;
             r.ideal_degraded |= t.ideal.degraded || !t.ideal.converged;
+          } else {
+            r.perf = analyze(cfg, options.amva);
           }
           if (options.memory_tolerance) {
             const ToleranceResult t =
-                tolerance_index(cfg, Subsystem::kMemory, options.amva);
-            r.perf = t.actual;
+                tolerance_index(cfg, r.perf, Subsystem::kMemory,
+                                default_method(Subsystem::kMemory),
+                                options.amva);
             r.tol_memory = t.index;
             r.ideal_degraded |= t.ideal.degraded || !t.ideal.converged;
-          }
-          if (!options.network_tolerance && !options.memory_tolerance) {
-            r.perf = analyze(cfg, options.amva);
           }
         } catch (const qn::SolverError& e) {
           r.error = e.what();

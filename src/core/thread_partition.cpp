@@ -23,9 +23,10 @@ std::vector<PartitionPoint> evaluate_partitions(
     pt.runlength = cfg.runlength;
     const ToleranceResult net = tolerance_index(cfg, Subsystem::kNetwork,
                                                 network_method, options);
+    pt.perf = net.actual;  // shared by both indices
     const ToleranceResult mem =
-        tolerance_index(cfg, Subsystem::kMemory, options);
-    pt.perf = net.actual;
+        tolerance_index(cfg, pt.perf, Subsystem::kMemory,
+                        default_method(Subsystem::kMemory), options);
     pt.tol_network = net.index;
     pt.tol_memory = mem.index;
     out.push_back(pt);

@@ -48,17 +48,25 @@ MmsConfig ideal_config(const MmsConfig& config, Subsystem subsystem,
   return ideal;
 }
 
-ToleranceResult tolerance_index(const MmsConfig& config, Subsystem subsystem,
-                                IdealMethod method,
+ToleranceResult tolerance_index(const MmsConfig& config,
+                                const MmsPerformance& actual,
+                                Subsystem subsystem, IdealMethod method,
                                 const qn::AmvaOptions& options) {
   ToleranceResult result;
-  result.actual = analyze(config, options);
+  result.actual = actual;
   result.ideal = analyze(ideal_config(config, subsystem, method), options);
   LATOL_REQUIRE(result.ideal.processor_utilization > 0.0,
                 "ideal system has zero processor utilization");
   result.index =
       result.actual.processor_utilization / result.ideal.processor_utilization;
   return result;
+}
+
+ToleranceResult tolerance_index(const MmsConfig& config, Subsystem subsystem,
+                                IdealMethod method,
+                                const qn::AmvaOptions& options) {
+  return tolerance_index(config, analyze(config, options), subsystem, method,
+                         options);
 }
 
 ToleranceResult tolerance_index(const MmsConfig& config, Subsystem subsystem,

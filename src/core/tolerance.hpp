@@ -63,6 +63,15 @@ struct ToleranceResult {
 [[nodiscard]] MmsConfig ideal_config(const MmsConfig& config,
                                      Subsystem subsystem, IdealMethod method);
 
+/// Compute the tolerance index of `subsystem` for `config`, whose
+/// actual system `actual` is already solved (analyze(config, options)):
+/// only the ideal system is solved here, so callers that index several
+/// subsystems solve the actual system once.
+[[nodiscard]] ToleranceResult tolerance_index(
+    const MmsConfig& config, const MmsPerformance& actual,
+    Subsystem subsystem, IdealMethod method,
+    const qn::AmvaOptions& options = {});
+
 /// Compute the tolerance index of `subsystem` for `config`.
 [[nodiscard]] ToleranceResult tolerance_index(
     const MmsConfig& config, Subsystem subsystem,

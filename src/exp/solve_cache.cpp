@@ -35,9 +35,11 @@ namespace {
 // and p_remote = 0 points began solving class 0 alone: their numbers
 // moved in the last bits, and the version gate cannot see that:
 // build_version() is `unknown` outside git, and a configure-time `-dirty`
-// string survives rebuilds.
-constexpr const char* kCacheFormat = "latol-solve-cache-6";
-constexpr const char* kInlineCacheFormat = "latol-solve-cache-5";
+// string survives rebuilds. They moved again (inline -7, sharded -8) when
+// meshes and tori with a hotspot began solving one class per symmetry
+// orbit, for the same reason.
+constexpr const char* kCacheFormat = "latol-solve-cache-8";
+constexpr const char* kInlineCacheFormat = "latol-solve-cache-7";
 
 // Routing hash for shard selection. Only load balance depends on it —
 // correctness never does (keys are compared as full strings within a

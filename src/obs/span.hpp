@@ -43,7 +43,7 @@ namespace latol::obs {
 /// (tooling groups and diffs on them); per-instance data goes into
 /// numeric args or `detail`.
 struct TraceEvent {
-  static constexpr std::size_t kMaxArgs = 2;
+  static constexpr std::size_t kMaxArgs = 3;
 
   const char* name = "";
   const char* category = "latol";
@@ -52,8 +52,8 @@ struct TraceEvent {
   std::uint64_t ts_us = 0; ///< microseconds since the sink's epoch
   std::uint64_t id = 0;    ///< span id (0 for plain instants)
   std::uint64_t parent = 0;///< parent span id (0 = root)
-  const char* arg_keys[kMaxArgs] = {nullptr, nullptr};
-  double arg_values[kMaxArgs] = {0.0, 0.0};
+  const char* arg_keys[kMaxArgs] = {};
+  double arg_values[kMaxArgs] = {};
   std::string detail;      ///< optional string arg (request ids, solver names)
 };
 
@@ -152,8 +152,8 @@ class Span {
   std::uint64_t parent_ = 0;
   std::uint64_t prev_current_ = 0;
   std::size_t num_args_ = 0;
-  const char* arg_keys_[TraceEvent::kMaxArgs] = {nullptr, nullptr};
-  double arg_values_[TraceEvent::kMaxArgs] = {0.0, 0.0};
+  const char* arg_keys_[TraceEvent::kMaxArgs] = {};
+  double arg_values_[TraceEvent::kMaxArgs] = {};
   std::string detail_;
 };
 

@@ -74,12 +74,12 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
     }
   }
 
-  // Per-station total queue lengths, maintained across iterations.
+  // Per-orbit total queue lengths, maintained across iterations.
   // Classes accumulate in increasing c per station, matching the dense
-  // station_queue() sum.
+  // station_queue() sum (every weight is 1 under the identity map).
   for (std::size_t c = 0; c < C; ++c) {
     for (std::size_t i = ws.first[c]; i < ws.first[c + 1]; ++i) {
-      ws.station_total[ws.orbit[i]] += ws.queue[i];
+      ws.station_total[ws.orbit[i]] += ws.weight[i] * ws.queue[i];
     }
   }
 
@@ -142,7 +142,8 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
                                 std::to_string(iter));
         }
         delta = std::max(delta, std::fabs(updated - ws.queue[i]));
-        ws.station_total[ws.orbit[i]] += updated - ws.queue[i];
+        ws.station_total[ws.orbit[i]] +=
+            ws.weight[i] * (updated - ws.queue[i]);
         ws.queue[i] = updated;
       }
     }
@@ -236,7 +237,7 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
     std::fill(ws.station_total.begin(), ws.station_total.end(), 0.0);
     for (std::size_t c = 0; c < C; ++c) {
       for (std::size_t i = ws.first[c]; i < ws.first[c + 1]; ++i) {
-        ws.station_total[ws.orbit[i]] += ws.queue[i];
+        ws.station_total[ws.orbit[i]] += ws.weight[i] * ws.queue[i];
       }
     }
 
@@ -283,7 +284,8 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
                                 std::to_string(iter));
         }
         delta = std::max(delta, std::fabs(updated - ws.queue[i]));
-        ws.station_total[ws.orbit[i]] += updated - ws.queue[i];
+        ws.station_total[ws.orbit[i]] +=
+            ws.weight[i] * (updated - ws.queue[i]);
         ws.queue[i] = updated;
       }
     }
@@ -344,7 +346,7 @@ MvaSolution solve_amva(const ClosedNetwork& net, const AmvaOptions& options,
   std::fill(ws.station_total.begin(), ws.station_total.end(), 0.0);
   for (std::size_t c = 0; c < C; ++c) {
     for (std::size_t i = ws.first[c]; i < ws.first[c + 1]; ++i) {
-      ws.station_total[ws.orbit[i]] += ws.queue[i];
+      ws.station_total[ws.orbit[i]] += ws.weight[i] * ws.queue[i];
     }
   }
   for (std::size_t c = 0; c < C; ++c) {

@@ -89,22 +89,37 @@ bool ClosedNetwork::is_product_form(double rel_tol) const {
   return true;
 }
 
-void ClosedNetwork::set_station_orbits(std::vector<std::uint32_t> orbit) {
+void ClosedNetwork::set_station_orbits(std::vector<std::uint32_t> orbit,
+                                       std::vector<long> class_orbit_size) {
   LATOL_REQUIRE(orbit.size() == num_stations(),
                 orbit.size() << " orbit ids for " << num_stations()
                              << " stations");
-  std::vector<bool> used(orbit.size(), false);
+  if (class_orbit_size.empty()) class_orbit_size.assign(num_classes(), 1);
+  LATOL_REQUIRE(class_orbit_size.size() == num_classes(),
+                class_orbit_size.size() << " class orbit sizes for "
+                                        << num_classes() << " classes");
+  for (const long n : class_orbit_size) {
+    LATOL_REQUIRE(n >= 1, "class orbit size " << n);
+  }
+  std::vector<long> size(orbit.size(), 0);
   std::size_t distinct = 0;
   std::size_t top = 0;
   for (const std::uint32_t o : orbit) {
     LATOL_REQUIRE(o < orbit.size(), "orbit id " << o);
-    distinct += used[o] ? 0 : 1;
-    used[o] = true;
+    distinct += size[o] == 0 ? 1 : 0;
+    ++size[o];
     top = std::max<std::size_t>(top, o);
   }
   LATOL_REQUIRE(top + 1 == distinct, "orbit ids must be dense from 0");
   orbit_ = std::move(orbit);
   orbits_ = distinct;
+  weight_.resize(num_classes() * distinct);
+  for (std::size_t c = 0; c < num_classes(); ++c) {
+    for (std::size_t o = 0; o < distinct; ++o) {
+      weight_[c * distinct + o] = static_cast<double>(class_orbit_size[c]) /
+                                  static_cast<double>(size[o]);
+    }
+  }
 }
 
 void ClosedNetwork::require_no_orbits(const char* solver) const {

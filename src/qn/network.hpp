@@ -81,14 +81,17 @@ class ClosedNetwork {
   /// condition under which MVA is exact for this network.
   [[nodiscard]] bool is_product_form(double rel_tol = 1e-12) const;
 
-  /// Station-orbit map (DESIGN.md §10): `orbit[m]` names the orbit of
-  /// station m, ids dense from 0. A network with a map is a symmetry
-  /// reduction that lists one representative class per class orbit: the
-  /// queue total a station shows every class is the sum of the listed
-  /// classes' queues over all stations of its orbit. The default, no map,
-  /// is the identity (every station its own orbit). Throws
-  /// InvalidArgument on a size mismatch or a gap in the ids.
-  void set_station_orbits(std::vector<std::uint32_t> orbit);
+  /// Orbit maps of a symmetry reduction (DESIGN.md §10): `orbit[m]` names
+  /// the orbit of station m, ids dense from 0, and `class_orbit_size[c]`
+  /// the number of classes of the full network that listed class c stands
+  /// for (empty: 1 each). A network with a map lists one representative
+  /// class per class orbit: the queue total a station in orbit s shows
+  /// every class is sum_c (|O_c| / |s|) sum_{m in s} q_cm, where |s| is the
+  /// orbit's station count. The default, no map, is the identity (every
+  /// station its own orbit). Throws InvalidArgument on a size mismatch, a
+  /// gap in the ids or a class orbit size below 1.
+  void set_station_orbits(std::vector<std::uint32_t> orbit,
+                          std::vector<long> class_orbit_size = {});
   [[nodiscard]] bool has_orbits() const { return !orbit_.empty(); }
   /// Orbit of station m; m itself without a map.
   [[nodiscard]] std::size_t station_orbit(std::size_t m) const {
@@ -96,6 +99,13 @@ class ClosedNetwork {
   }
   [[nodiscard]] std::size_t num_orbits() const {
     return orbit_.empty() ? num_stations() : orbits_;
+  }
+  /// Weight |O_c| / |s| of class c's queue at station m in its orbit's
+  /// total, computed by division when the map is set: exactly 1 without
+  /// a map, and whenever a class orbit is as large as the station orbit
+  /// (class 0's reduction).
+  [[nodiscard]] double orbit_weight(std::size_t c, std::size_t m) const {
+    return orbit_.empty() ? 1.0 : weight_[c * orbits_ + orbit_[m]];
   }
 
   /// Throws InvalidArgument when the network carries an orbit map: every
@@ -112,6 +122,7 @@ class ClosedNetwork {
   std::vector<Station> stations_;
   std::vector<std::uint32_t> orbit_;  // empty: the identity
   std::size_t orbits_ = 0;
+  std::vector<double> weight_;  // classes x orbits; empty without a map
   std::vector<long> population_;
   util::Matrix visits_;   // classes x stations
   util::Matrix service_;  // classes x stations

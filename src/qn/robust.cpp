@@ -98,10 +98,15 @@ double fixed_point_residual(const ClosedNetwork& net, const MvaSolution& sol) {
   const std::size_t M = net.num_stations();
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  // Queue totals per orbit (per station under the identity map).
+  // Weighted queue totals per orbit (per station under the identity map,
+  // where every weight is 1 and each station's sum is station_queue(m)).
   std::vector<double> orbit_total(net.num_orbits(), 0.0);
-  for (std::size_t m = 0; m < M; ++m)
-    orbit_total[net.station_orbit(m)] += sol.station_queue(m);
+  for (std::size_t m = 0; m < M; ++m) {
+    double total = 0.0;
+    for (std::size_t c = 0; c < C; ++c)
+      total += net.orbit_weight(c, m) * sol.queue_length(c, m);
+    orbit_total[net.station_orbit(m)] += total;
+  }
 
   double residual = 0.0;
   for (std::size_t c = 0; c < C; ++c) {
@@ -181,11 +186,13 @@ InvariantReport check_invariants(const ClosedNetwork& net,
 
   // Visit-ratio / flow-balance consistency: the reported utilization of
   // every station must equal the throughput-weighted demand through its
-  // orbit (through the station itself under the identity map).
+  // orbit, each class weighted as in the queue totals (through the
+  // station itself under the identity map).
   std::vector<double> orbit_util(net.num_orbits(), 0.0);
   for (std::size_t m = 0; m < M; ++m) {
     for (std::size_t c = 0; c < C; ++c)
-      orbit_util[net.station_orbit(m)] += sol.throughput[c] * net.demand(c, m);
+      orbit_util[net.station_orbit(m)] +=
+          sol.throughput[c] * net.demand(c, m) * net.orbit_weight(c, m);
   }
   for (std::size_t m = 0; m < M; ++m) {
     const double u = orbit_util[net.station_orbit(m)];
@@ -451,9 +458,12 @@ SolveReport robust_solve(const ClosedNetwork& net,
   } else {
     report.residual = fixed_point_residual(*answered, report.solution);
     report.invariants = check_invariants(*answered, report.solution);
-    // How many classes the answering kernel iterated: 1 for class 0's
-    // reduction, P for a full MMS network.
+    // How many classes the answering kernel iterated (1 for class 0's
+    // reduction, one per node orbit under a point group, P for a full MMS
+    // network), and the order of the group that reduced it.
     solve_span.arg("classes", static_cast<double>(answered->num_classes()));
+    solve_span.arg("group",
+                   static_cast<double>(answered == &net ? options.group : 1));
     if (answered == &net && options.expand) obs::count("qn.robust.reduced");
     if (report.degraded) obs::count("qn.robust.degraded");
     if (!report.invariants.warnings.empty())

@@ -17,6 +17,7 @@
 // results instead of aborting or lying.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <optional>
 #include <string>
@@ -86,6 +87,10 @@ struct RobustOptions {
   /// other link solves the full network, built on first use, so a failed
   /// reduced AMVA degrades exactly as a failed full one would.
   std::function<ClosedNetwork()> expand;
+  /// Order of the symmetry group a reduced network was built with (1: no
+  /// group). Provenance only: the qn.robust_solve span records it as its
+  /// `group` arg when the reduced network answers.
+  std::size_t group = 1;
 };
 
 /// One link of the chain, as it actually went.

@@ -32,6 +32,7 @@ void SolverWorkspace::bind(const ClosedNetwork& net) {
   queueing.resize(slots);
   slot_class.resize(slots);
   orbit.resize(slots);
+  weight.resize(slots);
   station_orbit.resize(M);
   for (std::size_t m = 0; m < M; ++m) {
     station_orbit[m] = static_cast<std::uint32_t>(net.station_orbit(m));
@@ -52,6 +53,7 @@ void SolverWorkspace::bind(const ClosedNetwork& net) {
       station[slot] = static_cast<std::uint32_t>(m);
       slot_class[slot] = static_cast<std::uint32_t>(c);
       orbit[slot] = station_orbit[m];
+      weight[slot] = net.orbit_weight(c, m);
       visit[slot] = v;
       service[slot] = s;
       demand[slot] = v * s;
@@ -112,7 +114,7 @@ MvaSolution SolverWorkspace::scatter_solution() const {
       sol.queue_length(c, m) = queue[i];
       // Classes accumulate in increasing c for every orbit (the outer
       // loop order), replaying the dense utilization sum exactly.
-      orbit_util[orbit[i]] += throughput[c] * demand[i];
+      orbit_util[orbit[i]] += throughput[c] * demand[i] * weight[i];
     }
   }
   sol.utilization.resize(M);

@@ -51,7 +51,7 @@ class SolverWorkspace {
 
   /// Materialize the dense MvaSolution from the per-slot iterate state
   /// (`waiting`, `queue`, per-class `throughput`): scatters the compact
-  /// arrays back into class x station matrices and accumulates
+  /// arrays back into class x station matrices and accumulates weighted
   /// utilization per orbit in class order — per station, exactly as the
   /// dense solvers did, under the identity map — giving every station
   /// its orbit's. `iterations`/`converged` are left at their defaults
@@ -91,6 +91,11 @@ class SolverWorkspace {
   std::vector<std::uint32_t> orbit;
   /// Orbit of each station; size stations.
   std::vector<std::uint32_t> station_orbit;
+  /// Weight of each slot's queue in its orbit's total
+  /// (ClosedNetwork::orbit_weight, |O_c| / |s|): exactly 1.0 under the
+  /// identity map and on class 0's reduction, where multiplying by it
+  /// changes no bit.
+  std::vector<double> weight;
   /// Station-major transpose: station m's visiting slots are
   /// by_station_slot[by_station_first[m] .. by_station_first[m+1]), in
   /// increasing class order — the order the dense kernels summed classes
@@ -113,7 +118,8 @@ class SolverWorkspace {
   /// Per-slot residence-time iterate w_{c,m}.
   std::vector<double> waiting;
   /// Per-orbit total queue length, one entry per orbit (per station
-  /// under the identity map), maintained incrementally by the AMVA
+  /// under the identity map): the weighted sum of the listed classes'
+  /// queues over the orbit, maintained incrementally by the AMVA
   /// Gauss–Seidel sweep.
   std::vector<double> station_total;
   /// Per-class throughput iterate.

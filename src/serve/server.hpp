@@ -89,8 +89,10 @@ struct ServerConfig {
   /// Solve-cache persistence file; loaded (with corrupt-file quarantine)
   /// on startup and flushed atomically on drain. Empty = in-memory only.
   std::string cache_path;
-  /// SolveCache entry bound (0 = unlimited).
-  std::size_t cache_capacity = 0;
+  /// SolveCache entry bound, oldest entries evicted first; an entry
+  /// costs about 1.2 KB, so the default holds the cache near 5 MB.
+  /// 0 = unlimited.
+  std::size_t cache_capacity = 4096;
   /// Framing/read bounds per connection.
   HttpLimits http;
 

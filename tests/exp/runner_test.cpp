@@ -478,7 +478,7 @@ TEST(SolveCachePersistence, RejectsMalformedEntries) {
       (std::filesystem::temp_directory_path() / "latol_cache_bad.json")
           .string();
   io::Json doc = io::Json::object();
-  doc.set("format", "latol-solve-cache-5");
+  doc.set("format", "latol-solve-cache-7");
   doc.set("version", "v1");
   io::Json entry = io::Json::object();
   entry.set("key", "k");  // missing perf

@@ -151,7 +151,7 @@ TEST(ShardedCache, CorruptShardFileIsQuarantinedOthersStillLoad) {
   ASSERT_FALSE(victim.empty());
   {
     std::ofstream rot(victim, std::ios::trunc);
-    rot << "{\"format\": \"latol-solve-cache-6\", truncated";
+    rot << "{\"format\": \"latol-solve-cache-8\", truncated";
   }
   SolveCache warmed(4);
   std::string warning;

@@ -126,11 +126,13 @@ TEST(SolveCache, PreviousFormatGenerationIsIgnored) {
 }
 
 TEST(SolveCache, FullSolveGenerationsAreIgnoredAndPointsSolveFresh) {
-  // Files the full-network kernel wrote, inline (-3) and sharded (-4),
-  // hold numbers class 0's reduction moves in the last bits: loading one
-  // ingests nothing, and the point solves fresh.
+  // Files the full-network kernel wrote, inline (-3, and -5 for meshes
+  // and hotspots) and sharded (-4, -6), hold numbers the symmetry
+  // reductions move in the last bits: loading one ingests nothing, and
+  // the point solves fresh.
   const std::pair<std::size_t, const char*> layouts[] = {
-      {1, "latol-solve-cache-3"}, {4, "latol-solve-cache-4"}};
+      {1, "latol-solve-cache-3"}, {4, "latol-solve-cache-4"},
+      {1, "latol-solve-cache-5"}, {4, "latol-solve-cache-6"}};
   for (const auto& [shards, old_format] : layouts) {
     SCOPED_TRACE(old_format);
     const std::string path = temp_path("latol_cache_old_generation.json");

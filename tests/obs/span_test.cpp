@@ -113,6 +113,7 @@ TEST(Span, ArgsAndDetailRideTheEndEvent) {
     Span span("test.args", "test");
     span.arg("alpha", 1.5);
     span.arg("beta", 2.0);
+    span.arg("gamma", 2.5);
     span.arg("dropped", 3.0);  // beyond kMaxArgs
     span.detail("free-form \"text\"\n");
   }
@@ -124,6 +125,7 @@ TEST(Span, ArgsAndDetailRideTheEndEvent) {
     ASSERT_NE(args, nullptr);
     EXPECT_DOUBLE_EQ(args->find("alpha")->as_number(), 1.5);
     EXPECT_DOUBLE_EQ(args->find("beta")->as_number(), 2.0);
+    EXPECT_DOUBLE_EQ(args->find("gamma")->as_number(), 2.5);
     EXPECT_EQ(args->find("dropped"), nullptr);
     // detail survives JSON escaping round trip.
     EXPECT_EQ(args->find("detail")->as_string(), "free-form \"text\"\n");

@@ -18,6 +18,7 @@
 #include "qn/open/mixed.hpp"
 #include "qn/robust.hpp"
 #include "qn/routing.hpp"
+#include "qn/workspace.hpp"
 #include "util/error.hpp"
 
 namespace latol::qn {
@@ -26,8 +27,9 @@ namespace {
 /// A ring of `nodes` nodes, each with a CPU (station 2j) and a disk
 /// (2j + 1). Class c lives on node c: it visits its CPU once, its own
 /// disk 0.6 times and the next node's disk 0.4 times per cycle. With
-/// `reduced`, only class 0 is listed and the stations fold into two
-/// orbits (CPUs, disks); rotations carry every class onto class 0.
+/// `reduced`, only class 0 is listed, standing for all `nodes` classes,
+/// and the stations fold into two orbits (CPUs, disks); rotations carry
+/// every class onto class 0.
 ClosedNetwork ring_network(std::size_t nodes, bool reduced, long population) {
   std::vector<Station> stations;
   for (std::size_t j = 0; j < nodes; ++j) {
@@ -47,7 +49,52 @@ ClosedNetwork ring_network(std::size_t nodes, bool reduced, long population) {
   if (reduced) {
     std::vector<std::uint32_t> orbit(net.num_stations());
     for (std::size_t m = 0; m < orbit.size(); ++m) orbit[m] = m % 2;
-    net.set_station_orbits(orbit);
+    net.set_station_orbits(orbit, {static_cast<long>(nodes)});
+  }
+  return net;
+}
+
+/// A star: a hub (node 0) and `leaves` leaf nodes, each node with a CPU
+/// (station 2j) and a disk (2j + 1). The hub's class (population 3)
+/// visits its CPU, its own disk 0.5 times and every leaf's disk 0.5 /
+/// `leaves` times; leaf j's class (population 2) visits its CPU, its own
+/// disk 0.5 times, the hub's disk 0.3 times and the next leaf's disk 0.2
+/// times. Rotating the leaves fixes the hub, so with `reduced` the
+/// network lists the hub's class (an orbit of 1) and leaf 1's (an orbit
+/// of `leaves`), with four station orbits: the hub's CPU, the hub's
+/// disk, the leaves' CPUs and the leaves' disks.
+ClosedNetwork star_network(std::size_t leaves, bool reduced) {
+  const std::size_t nodes = leaves + 1;
+  std::vector<Station> stations;
+  for (std::size_t j = 0; j < nodes; ++j) {
+    stations.push_back({"cpu", StationKind::kQueueing, 1});
+    stations.push_back({"disk", StationKind::kQueueing, 1});
+  }
+  ClosedNetwork net(stations, reduced ? 2 : nodes);
+  for (std::size_t c = 0; c < net.num_classes(); ++c) {
+    for (std::size_t m = 0; m < net.num_stations(); ++m) {
+      net.set_service_time(c, m, m % 2 == 0 ? 1.0 : 1.5);
+    }
+    net.set_visit_ratio(c, 2 * c, 1.0);
+    net.set_visit_ratio(c, 2 * c + 1, 0.5);
+    if (c == 0) {
+      net.set_population(c, 3);
+      for (std::size_t j = 1; j < nodes; ++j) {
+        net.set_visit_ratio(c, 2 * j + 1, 0.5 / static_cast<double>(leaves));
+      }
+    } else {
+      net.set_population(c, 2);
+      net.set_visit_ratio(c, 1, 0.3);
+      net.set_visit_ratio(c, 2 * (c % leaves + 1) + 1, 0.2);
+    }
+  }
+  if (reduced) {
+    std::vector<std::uint32_t> orbit{0, 1};
+    for (std::size_t j = 1; j < nodes; ++j) {
+      orbit.push_back(2);
+      orbit.push_back(3);
+    }
+    net.set_station_orbits(orbit, {1, static_cast<long>(leaves)});
   }
   return net;
 }
@@ -123,6 +170,65 @@ TEST(StationOrbits, ReductionReachesTheFullFixedPoint) {
       const InvariantReport inv = check_invariants(reduced_net, reduced);
       EXPECT_TRUE(inv.warnings.empty());
     }
+  }
+}
+
+TEST(StationOrbits, ClassOrbitsOfDifferentSizesReachTheExpandedFixedPoint) {
+  AmvaOptions tight;
+  tight.tolerance = 1e-15;
+  tight.max_iterations = 100000;
+  for (const std::size_t leaves : {2u, 3u, 5u}) {
+    SCOPED_TRACE(leaves);
+    const ClosedNetwork full_net = star_network(leaves, false);
+    const ClosedNetwork reduced_net = star_network(leaves, true);
+    ClosedNetwork malformed = reduced_net;
+    EXPECT_THROW(malformed.set_station_orbits(
+                     std::vector<std::uint32_t>(malformed.num_stations(), 0),
+                     {1}),
+                 InvalidArgument);
+    EXPECT_THROW(malformed.set_station_orbits(
+                     std::vector<std::uint32_t>(malformed.num_stations(), 0),
+                     {1, 0}),
+                 InvalidArgument);
+    EXPECT_EQ(reduced_net.orbit_weight(0, 1), 1.0);  // hub at its disk
+    EXPECT_EQ(reduced_net.orbit_weight(0, 3), 1.0 / static_cast<double>(leaves));
+    EXPECT_EQ(reduced_net.orbit_weight(1, 1), static_cast<double>(leaves));
+    EXPECT_EQ(reduced_net.orbit_weight(1, 3), 1.0);
+    const SolveHints hints;
+    for (const bool warm : {false, true}) {
+      const MvaSolution full = warm ? solve_amva(full_net, tight, hints)
+                                    : solve_amva(full_net, tight);
+      const MvaSolution reduced = warm ? solve_amva(reduced_net, tight, hints)
+                                       : solve_amva(reduced_net, tight);
+      ASSERT_TRUE(reduced.converged);
+      ASSERT_EQ(reduced.throughput.size(), 2u);
+      // The hub's class is class 0 of both; leaf 1's is class 1 of both.
+      for (std::size_t c = 0; c < 2; ++c) {
+        expect_relative(reduced.throughput[c], full.throughput[c], 1e-12);
+        for (std::size_t m = 0; m < full_net.num_stations(); ++m) {
+          EXPECT_NEAR(reduced.queue_length(c, m), full.queue_length(c, m),
+                      1e-12);
+          EXPECT_NEAR(reduced.waiting(c, m), full.waiting(c, m),
+                      1e-12 * full.waiting(c, m));
+        }
+      }
+      for (std::size_t m = 0; m < full_net.num_stations(); ++m) {
+        expect_relative(reduced.utilization[m], full.utilization[m], 1e-12);
+      }
+      EXPECT_LT(fixed_point_residual(reduced_net, reduced), 1e-12);
+      const InvariantReport inv = check_invariants(reduced_net, reduced);
+      EXPECT_LT(inv.littles_law_error, 1e-12);
+      EXPECT_LT(inv.flow_balance_error, 1e-12);
+    }
+  }
+}
+
+TEST(StationOrbits, ClassZerosReductionAndTheIdentityBindUnitWeights) {
+  SolverWorkspace ws;
+  for (const bool reduced : {false, true}) {
+    ws.bind(ring_network(5, reduced, 2));
+    ASSERT_EQ(ws.weight.size(), ws.num_slots());
+    for (const double w : ws.weight) EXPECT_EQ(w, 1.0);
   }
 }
 

@@ -302,6 +302,26 @@ TEST(Serve, ScenarioEndpointRunsAgainstTheWarmCache) {
   EXPECT_GT(ts.server().cache().hits(), 0u);
 }
 
+TEST(Serve, DefaultCacheCapacityBoundsTheCache) {
+  ServerConfig config = small_config();
+  ASSERT_EQ(config.cache_capacity, 4096u);  // the default, not set here
+  TestServer ts(config);
+  // 4,200 distinct points at p_remote = 0: each solves node 0's two
+  // stations in microseconds and leaves one cache entry.
+  const std::string scenario = R"({
+    "name": "fill",
+    "base": {"k": 2, "p_remote": 0},
+    "axes": [{"param": "runlength",
+              "range": {"from": 1, "to": 4200, "steps": 4200}}]
+  })";
+  const RawResponse r = roundtrip(
+      ts.port(), make_request("POST", "/v1/scenario", scenario));
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(r.header("X-Latol-Exit"), "0");
+  EXPECT_EQ(ts.server().cache().size(), 4096u);
+  EXPECT_EQ(ts.server().cache().evictions(), 4200u - 4096u);
+}
+
 TEST(Serve, MetricsExposesPrometheusText) {
   TestServer ts(small_config());
   (void)roundtrip(ts.port(), make_request("GET", "/healthz"));
