@@ -61,9 +61,11 @@ class MmsModel {
   [[nodiscard]] static PeStations stations(int node);
 
   /// Class-`i` visit ratios over the 4P stations (the paper's em/eo/ei
-  /// rules). One row of build_network(), exposed separately so the
-  /// hierarchical solver can price a single class in O(P x d_avg) instead
-  /// of materializing all P classes.
+  /// rules): one row of build_network(). Exposed separately because a
+  /// reduced network (class 0's, or one per point-group orbit) is built
+  /// from its representatives' rows alone, the point-group finder checks
+  /// each row against its image, and the hierarchical solver prices a
+  /// single class in O(P x d_avg) instead of materializing all P classes.
   [[nodiscard]] std::vector<double> class_visits(int i) const;
 
   /// Construct the full multi-class closed network (4P stations, P
@@ -175,12 +177,12 @@ enum class SolveMethod {
 struct AnalysisOptions {
   qn::AmvaOptions amva{};
   SolveMethod method = SolveMethod::kAmva;
-  /// Warm-start hints forwarded to the AMVA/Linearizer links of the
+  /// Warm-start hint forwarded to the AMVA/Linearizer links of the
   /// robust chain (qn/hints.hpp, DESIGN.md §15). Ignored by the
-  /// hierarchical method (FESC is not an iterative MVA). Not owned; must
-  /// outlive the call. nullptr keeps the plain kernels, bit-identical to
-  /// earlier releases.
-  const qn::SolveHints* hints = nullptr;
+  /// hierarchical method (FESC is not an iterative MVA). The prior is not
+  /// owned and must outlive the call; a null prior, the default, is the
+  /// cold solve.
+  qn::SolveHints hints{};
   /// When non-null, receives the raw accepted closed-network solution (of
   /// class 0's reduction when one applied) — the sweep engine chains it
   /// into the next lattice point's hint.

@@ -15,7 +15,6 @@
 #include "core/tolerance.hpp"
 #include "exp/parameter.hpp"
 #include "obs/span.hpp"
-#include "qn/hints.hpp"
 #include "qn/robust.hpp"
 #include "sim/mms_des.hpp"
 #include "sim/mms_petri.hpp"
@@ -107,12 +106,10 @@ void compute_point(const core::MmsConfig& cfg, const Scenario& scenario,
     }
     if (chain != nullptr) {
       const qn::MvaSolution* prior = chain_hint(*chain);
-      qn::SolveHints hints;
-      hints.prior = prior;
       core::AnalysisOptions opts;
       opts.amva = amva;
       opts.method = scenario.method;
-      opts.hints = &hints;
+      opts.hints.prior = prior;
       qn::MvaSolution solution;
       opts.solution_out = &solution;
       ++chain->solves;

@@ -4,51 +4,40 @@
 // the AMVA/Linearizer fixed point moves slowly along the sweep axis — the
 // converged queue lengths of one grid point (or a linear extrapolation
 // from the previous two) are an excellent initial iterate for its lattice
-// neighbor. Passing SolveHints to the solvers switches them to the *warm
-// kernels*: the iterate is seeded from a caller-provided prior solution
-// and the solve skips most of the cold descent.
+// neighbor. A hint only seeds the iterate: each solver runs its one loop
+// from the caller-provided prior instead of the demand-proportional guess,
+// and skips most of the cold descent.
 //
 // Determinism contract: a warm solve is a pure function of (network,
 // options, hint). The sweep engine builds on exactly that — it derives
 // every hint deterministically from the grid structure (per-row chains,
 // seeded from results that are themselves pure functions of the chain),
 // so sweep artifacts are byte-identical across worker counts, shard
-// splits, streaming modes, and cache states (DESIGN.md §10, §15).
+// splits, streaming modes, and cache states (DESIGN.md §10, §15). A null
+// or unusable prior is the cold solve, bitwise.
 //
 // What warm starting is NOT: bitwise equal to a cold solve of the same
 // point. Different starting points stop at different iterates inside the
-// tolerance ball (and even exact-stagnation orbits freeze ulps apart —
-// the floating-point map's fixed "point" is a small region, not a
-// point). Warm and cold answers agree to ~kappa x tolerance; raising
-// `stagnation_budget` shrinks the gap to a few ulps (~1e-15 relative,
-// measured in tests/qn/warm_start_test.cpp) by iterating both orbits to
-// bitwise stagnation, at the cost of a longer convergence tail.
+// tolerance ball, so warm and cold answers agree to ~kappa x tolerance;
+// a tighter AmvaOptions::tolerance shrinks the gap with it (measured in
+// tests/qn/warm_start_test.cpp).
 #pragma once
 
 #include "qn/solution.hpp"
 
 namespace latol::qn {
 
-/// Warm-start request for solve_amva / solve_linearizer / robust_solve.
-/// Selects the warm kernels (qn/hints.hpp); results are a pure function
-/// of (network, options, hint) but are not bitwise comparable to the
-/// plain overloads.
+/// Warm-start request for solve_amva / solve_linearizer / robust_solve:
+/// the solution to seed the iterate from. Results are a pure function of
+/// (network, options, hint); a default-constructed hint is a cold solve.
 struct SolveHints {
   /// Solution of a nearby network to seed the iterate from; nullptr
-  /// starts from the default demand-proportional guess (a "cold start
-  /// under the warm kernel"). A prior whose shape does not match the
-  /// network, or that contains non-finite or negative queue lengths, is
-  /// ignored rather than rejected — hints are an optimization, never an
+  /// starts from the default demand-proportional guess, bitwise the cold
+  /// solve. A prior whose shape does not match the network, or that
+  /// contains non-finite or negative queue lengths, is ignored the same
+  /// way rather than rejected — hints are an optimization, never an
   /// input contract.
   const MvaSolution* prior = nullptr;
-  /// Extra iterations allowed past the tolerance criterion to chase
-  /// bitwise stagnation (or a canonicalized period-2 cycle) of the
-  /// iterate. 0 — the default — stops at tolerance exactly like the
-  /// plain kernels: fastest, hint-dependent at the ~kappa x tolerance
-  /// level. Large values (a few hundred suffice in practice) make the
-  /// answer insensitive to the hint down to a few ulps, for callers who
-  /// want near-identical warm/cold numbers more than they want speed.
-  long stagnation_budget = 0;
 };
 
 }  // namespace latol::qn

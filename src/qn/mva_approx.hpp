@@ -64,8 +64,15 @@ struct AmvaOptions {
 /// network and SolverError on a NaN/overflowed (kNumerical) or diverging
 /// (kDiverged) iterate; never throws on plain budget exhaustion (check
 /// `converged` — robust_solve classifies that as kIterationBudget).
+///
+/// The iteration starts from `hints.prior` when it is usable (qn/hints.hpp,
+/// DESIGN.md §15) and from the demand-proportional guess otherwise, so a
+/// null or unusable prior gives the cold solve's bytes. A pure function of
+/// (net, options, hints): identically hinted solves are byte-identical,
+/// and differently hinted ones agree to within the tolerance ball.
 [[nodiscard]] MvaSolution solve_amva(const ClosedNetwork& net,
-                                     const AmvaOptions& options = {});
+                                     const AmvaOptions& options = AmvaOptions(),
+                                     const SolveHints& hints = SolveHints());
 
 /// Same solve, but running in a caller-provided SolverWorkspace (see
 /// qn/workspace.hpp) instead of the per-thread default arena. Use when
@@ -73,24 +80,7 @@ struct AmvaOptions {
 /// results are bit-identical to the default overload.
 [[nodiscard]] MvaSolution solve_amva(const ClosedNetwork& net,
                                      const AmvaOptions& options,
-                                     SolverWorkspace& ws);
-
-/// Warm-kernel solve (qn/hints.hpp, DESIGN.md §15): seed the iterate from
-/// `hints.prior` (when usable) and converge from there; the reported
-/// solution is re-derived from the final iterate in one pure evaluation
-/// pass. A deterministic pure function of (net, options, hints) — the
-/// byte-determinism the sweep engine builds on — but NOT bitwise equal to
-/// the plain overloads or to a differently-hinted solve (they stop at
-/// different iterates inside the tolerance ball). Error behavior matches
-/// the plain overloads.
-[[nodiscard]] MvaSolution solve_amva(const ClosedNetwork& net,
-                                     const AmvaOptions& options,
                                      SolverWorkspace& ws,
-                                     const SolveHints& hints);
-
-/// Warm-kernel solve in the per-thread default arena.
-[[nodiscard]] MvaSolution solve_amva(const ClosedNetwork& net,
-                                     const AmvaOptions& options,
-                                     const SolveHints& hints);
+                                     const SolveHints& hints = SolveHints());
 
 }  // namespace latol::qn

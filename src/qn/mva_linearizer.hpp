@@ -45,31 +45,21 @@ struct LinearizerOptions {
 
 /// Solve `net` with Linearizer. Same contract as solve_amva (including the
 /// SolverError guards on NaN/overflowed or diverging Core iterates).
+///
+/// Every Core fixed point starts from the fractions of `hints.prior` when
+/// it is usable (qn/hints.hpp, DESIGN.md §15) and from the
+/// demand-proportional guess otherwise, so a null or unusable prior gives
+/// the cold solve's bytes. A pure function of (net, options, hints).
 [[nodiscard]] MvaSolution solve_linearizer(
-    const ClosedNetwork& net, const LinearizerOptions& options = {});
+    const ClosedNetwork& net,
+    const LinearizerOptions& options = LinearizerOptions(),
+    const SolveHints& hints = SolveHints());
 
 /// Same solve in a caller-provided SolverWorkspace (qn/workspace.hpp)
 /// instead of the per-thread default arena; results are bit-identical to
 /// the default overload.
-[[nodiscard]] MvaSolution solve_linearizer(const ClosedNetwork& net,
-                                           const LinearizerOptions& options,
-                                           SolverWorkspace& ws);
-
-/// Warm-kernel solve (qn/hints.hpp, DESIGN.md §15): every Core fixed
-/// point seeds its fraction vector from `hints.prior` (when usable), and
-/// the reported solution is re-derived from the final full-population
-/// fractions in one pure evaluation pass. A deterministic pure function
-/// of (net, options, hints), but NOT bitwise equal to the plain overloads
-/// or to a differently-hinted solve. Error behavior matches the plain
-/// overloads.
-[[nodiscard]] MvaSolution solve_linearizer(const ClosedNetwork& net,
-                                           const LinearizerOptions& options,
-                                           SolverWorkspace& ws,
-                                           const SolveHints& hints);
-
-/// Warm-kernel solve in the per-thread default arena.
-[[nodiscard]] MvaSolution solve_linearizer(const ClosedNetwork& net,
-                                           const LinearizerOptions& options,
-                                           const SolveHints& hints);
+[[nodiscard]] MvaSolution solve_linearizer(
+    const ClosedNetwork& net, const LinearizerOptions& options,
+    SolverWorkspace& ws, const SolveHints& hints = SolveHints());
 
 }  // namespace latol::qn

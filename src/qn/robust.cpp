@@ -355,18 +355,14 @@ SolveReport robust_solve(const ClosedNetwork& net,
         case SolverKind::kAmva: {
           AmvaOptions amva = options.amva;
           amva.trace = options.record_traces ? &attempt.trace : nullptr;
-          sol = options.hints != nullptr ? solve_amva(target, amva,
-                                                     *options.hints)
-                                         : solve_amva(target, amva);
+          sol = solve_amva(target, amva, options.hints);
           break;
         }
         case SolverKind::kLinearizer: {
           LinearizerOptions lin = options.linearizer;
           lin.trace = options.record_traces ? &attempt.trace : nullptr;
           if (lin.cancel == nullptr) lin.cancel = cancel;
-          sol = options.hints != nullptr ? solve_linearizer(target, lin,
-                                                            *options.hints)
-                                         : solve_linearizer(target, lin);
+          sol = solve_linearizer(target, lin, options.hints);
           break;
         }
         case SolverKind::kExactMva: {

@@ -74,13 +74,12 @@ struct RobustOptions {
   /// Per-attempt trace capacity (entries beyond it are counted, not
   /// stored); see obs::ConvergenceTrace.
   std::size_t trace_capacity = obs::ConvergenceTrace::kDefaultCapacity;
-  /// Warm-start hints (qn/hints.hpp): when non-null, the AMVA and
-  /// Linearizer links run on the warm kernels, seeded from the hint (a
-  /// deterministic pure function of network + options + hint). Exact MVA
-  /// and bounds ignore hints (they are direct methods). Not owned; must
-  /// outlive the call. nullptr (the default) keeps every link on the
-  /// plain kernels, bit-identical to earlier releases.
-  const SolveHints* hints = nullptr;
+  /// Warm-start hint (qn/hints.hpp) for the AMVA and Linearizer links,
+  /// which seed their iterate from `hints.prior` (a deterministic pure
+  /// function of network + options + hint). Exact MVA and bounds ignore
+  /// it (they are direct methods). The prior is not owned and must
+  /// outlive the call; a null prior, the default, is the cold solve.
+  SolveHints hints{};
   /// Set when the network handed to robust_solve() is a reduction of a
   /// larger one — class 0's row of a symmetric machine, say (DESIGN.md
   /// §2.3): builds that full network. AMVA links solve the reduction; every

@@ -1,5 +1,7 @@
 #include "qn/workspace.hpp"
 
+#include <cmath>
+
 #include "obs/span.hpp"
 
 namespace latol::qn {
@@ -96,6 +98,27 @@ void SolverWorkspace::bind(const ClosedNetwork& net) {
   waiting.assign(slots, 0.0);
   station_total.assign(net.num_orbits(), 0.0);
   throughput.assign(C, 0.0);
+}
+
+bool SolverWorkspace::seed_queue(const MvaSolution* prior) {
+  if (prior == nullptr || prior->queue_length.rows() != classes_ ||
+      prior->queue_length.cols() != stations_) {
+    return false;
+  }
+  for (std::size_t c = 0; c < classes_; ++c) {
+    if (population[c] == 0 || total_demand[c] <= 0.0) continue;
+    for (std::size_t i = first[c]; i < first[c + 1]; ++i) {
+      const double q = prior->queue_length(c, station[i]);
+      if (!std::isfinite(q) || q < 0.0) return false;
+    }
+  }
+  for (std::size_t c = 0; c < classes_; ++c) {
+    if (population[c] == 0 || total_demand[c] <= 0.0) continue;
+    for (std::size_t i = first[c]; i < first[c + 1]; ++i) {
+      queue[i] = prior->queue_length(c, station[i]);
+    }
+  }
+  return true;
 }
 
 MvaSolution SolverWorkspace::scatter_solution() const {

@@ -58,6 +58,13 @@ class SolverWorkspace {
   /// for the caller to fill.
   [[nodiscard]] MvaSolution scatter_solution() const;
 
+  /// Seed `queue` from `prior`'s queue lengths when the prior is usable as
+  /// a warm start (qn/hints.hpp): it has the bound network's shape and a
+  /// finite, non-negative queue length at every slot of every populated
+  /// class. Otherwise (nullptr included) returns false and leaves `queue`
+  /// untouched — hints are an optimization, never an input contract.
+  [[nodiscard]] bool seed_queue(const MvaSolution* prior);
+
   // --- network views (read-only after bind) ------------------------------
 
   /// Slot range of class c: slots [first[c], first[c+1]) in increasing

@@ -46,6 +46,13 @@ std::string stream_csv(const Scenario& scenario, const RunOptions& opts,
   return csv.str();
 }
 
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream is(text);
+  for (std::string l; std::getline(is, l);) out.push_back(l);
+  return out;
+}
+
 TEST(StreamRunner, GridSizeAndConfigAtMatchExpandGrid) {
   // The expanded cross-product: first axis outermost, last fastest.
   const Scenario scenario = from_text(kGridScenario);
@@ -149,12 +156,6 @@ TEST(StreamRunner, ShardUnionReassemblesSingleProcessOutput) {
   EXPECT_EQ(rows_owned_total, stats[0].rows_total);
   // Round-robin row interleave (shard i owns rows r % n == i) equals the
   // single-process bytes: header from shard 0, then rows in grid order.
-  auto split_lines = [](const std::string& text) {
-    std::vector<std::string> out;
-    std::istringstream is(text);
-    for (std::string l; std::getline(is, l);) out.push_back(l);
-    return out;
-  };
   std::vector<std::vector<std::string>> lines;
   lines.reserve(n);
   for (const std::string& s : shard) lines.push_back(split_lines(s));
@@ -207,6 +208,32 @@ TEST(StreamRunner, WarmStartKeepsBytesDeterministicAcrossWorkers) {
   EXPECT_NE(s0, s1);
   EXPECT_EQ(s0.size() + s1.size(),
             serial.size() + serial.substr(0, serial.find('\n') + 1).size());
+}
+
+TEST(StreamRunner, WarmRowStartsAtTheColdBytes) {
+  // A row's first point has no hint, and a solve without one is the cold
+  // solve, so every row of a warm run starts at the cold run's bytes,
+  // materialized and streamed alike.
+  const Scenario scenario = from_text(kGridScenario);
+  RunStats st;
+  const std::string cold = stream_csv(scenario, {}, &st);
+  RunOptions warm_opts;
+  warm_opts.warm_start = true;
+  Scenario warm = scenario;
+  warm.warm_start = true;
+  std::ostringstream materialized;
+  write_results_csv(warm, run_scenario(warm), materialized);
+  const std::vector<std::string> cold_lines = split_lines(cold);
+  for (const std::string& text :
+       {stream_csv(scenario, warm_opts), materialized.str()}) {
+    const std::vector<std::string> lines = split_lines(text);
+    ASSERT_EQ(lines.size(), cold_lines.size());
+    for (std::size_t r = 0; r < st.rows_total; ++r) {
+      const std::size_t line = 1 + r * st.row_length;  // past the header
+      EXPECT_EQ(lines[line], cold_lines[line]) << "row " << r;
+    }
+    EXPECT_NE(text, cold);  // later points start from a hint
+  }
 }
 
 TEST(StreamRunner, ScenarioWarmStartKeyEnablesChaining) {

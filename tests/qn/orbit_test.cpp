@@ -9,7 +9,6 @@
 
 #include "qn/convolution.hpp"
 #include "qn/ctmc.hpp"
-#include "qn/hints.hpp"
 #include "qn/mva_approx.hpp"
 #include "qn/mva_exact.hpp"
 #include "qn/mva_linearizer.hpp"
@@ -139,8 +138,6 @@ TEST(StationOrbits, IdentityMapIsBitwiseTheUnmappedSolve) {
   for (std::size_t m = 0; m < identity.size(); ++m) identity[m] = m;
   mapped.set_station_orbits(identity);
   expect_bitwise(solve_amva(mapped, {}), solve_amva(plain, {}));
-  const SolveHints hints;
-  expect_bitwise(solve_amva(mapped, {}, hints), solve_amva(plain, {}, hints));
   EXPECT_EQ(fixed_point_residual(mapped, solve_amva(mapped, {})),
             fixed_point_residual(plain, solve_amva(plain, {})));
 }
@@ -150,26 +147,20 @@ TEST(StationOrbits, ReductionReachesTheFullFixedPoint) {
     SCOPED_TRACE(nodes);
     const ClosedNetwork full_net = ring_network(nodes, false, 4);
     const ClosedNetwork reduced_net = ring_network(nodes, true, 4);
-    const SolveHints hints;
-    for (const bool warm : {false, true}) {
-      const MvaSolution full = warm ? solve_amva(full_net, {}, hints)
-                                    : solve_amva(full_net, {});
-      const MvaSolution reduced = warm ? solve_amva(reduced_net, {}, hints)
-                                       : solve_amva(reduced_net, {});
-      ASSERT_TRUE(reduced.converged);
-      ASSERT_EQ(reduced.throughput.size(), 1u);
-      expect_relative(reduced.throughput[0], full.throughput[0], 1e-9);
-      for (std::size_t m = 0; m < full_net.num_stations(); ++m) {
-        // Class 0's own queues, and every station's utilization (the
-        // orbit's total, which symmetry makes every member's).
-        EXPECT_NEAR(reduced.queue_length(0, m), full.queue_length(0, m),
-                    1e-9);
-        expect_relative(reduced.utilization[m], full.utilization[m], 1e-9);
-      }
-      EXPECT_LT(fixed_point_residual(reduced_net, reduced), 1e-9);
-      const InvariantReport inv = check_invariants(reduced_net, reduced);
-      EXPECT_TRUE(inv.warnings.empty());
+    const MvaSolution full = solve_amva(full_net, {});
+    const MvaSolution reduced = solve_amva(reduced_net, {});
+    ASSERT_TRUE(reduced.converged);
+    ASSERT_EQ(reduced.throughput.size(), 1u);
+    expect_relative(reduced.throughput[0], full.throughput[0], 1e-9);
+    for (std::size_t m = 0; m < full_net.num_stations(); ++m) {
+      // Class 0's own queues, and every station's utilization (the
+      // orbit's total, which symmetry makes every member's).
+      EXPECT_NEAR(reduced.queue_length(0, m), full.queue_length(0, m), 1e-9);
+      expect_relative(reduced.utilization[m], full.utilization[m], 1e-9);
     }
+    EXPECT_LT(fixed_point_residual(reduced_net, reduced), 1e-9);
+    const InvariantReport inv = check_invariants(reduced_net, reduced);
+    EXPECT_TRUE(inv.warnings.empty());
   }
 }
 
@@ -194,32 +185,27 @@ TEST(StationOrbits, ClassOrbitsOfDifferentSizesReachTheExpandedFixedPoint) {
     EXPECT_EQ(reduced_net.orbit_weight(0, 3), 1.0 / static_cast<double>(leaves));
     EXPECT_EQ(reduced_net.orbit_weight(1, 1), static_cast<double>(leaves));
     EXPECT_EQ(reduced_net.orbit_weight(1, 3), 1.0);
-    const SolveHints hints;
-    for (const bool warm : {false, true}) {
-      const MvaSolution full = warm ? solve_amva(full_net, tight, hints)
-                                    : solve_amva(full_net, tight);
-      const MvaSolution reduced = warm ? solve_amva(reduced_net, tight, hints)
-                                       : solve_amva(reduced_net, tight);
-      ASSERT_TRUE(reduced.converged);
-      ASSERT_EQ(reduced.throughput.size(), 2u);
-      // The hub's class is class 0 of both; leaf 1's is class 1 of both.
-      for (std::size_t c = 0; c < 2; ++c) {
-        expect_relative(reduced.throughput[c], full.throughput[c], 1e-12);
-        for (std::size_t m = 0; m < full_net.num_stations(); ++m) {
-          EXPECT_NEAR(reduced.queue_length(c, m), full.queue_length(c, m),
-                      1e-12);
-          EXPECT_NEAR(reduced.waiting(c, m), full.waiting(c, m),
-                      1e-12 * full.waiting(c, m));
-        }
-      }
+    const MvaSolution full = solve_amva(full_net, tight);
+    const MvaSolution reduced = solve_amva(reduced_net, tight);
+    ASSERT_TRUE(reduced.converged);
+    ASSERT_EQ(reduced.throughput.size(), 2u);
+    // The hub's class is class 0 of both; leaf 1's is class 1 of both.
+    for (std::size_t c = 0; c < 2; ++c) {
+      expect_relative(reduced.throughput[c], full.throughput[c], 1e-12);
       for (std::size_t m = 0; m < full_net.num_stations(); ++m) {
-        expect_relative(reduced.utilization[m], full.utilization[m], 1e-12);
+        EXPECT_NEAR(reduced.queue_length(c, m), full.queue_length(c, m),
+                    1e-12);
+        EXPECT_NEAR(reduced.waiting(c, m), full.waiting(c, m),
+                    1e-12 * full.waiting(c, m));
       }
-      EXPECT_LT(fixed_point_residual(reduced_net, reduced), 1e-12);
-      const InvariantReport inv = check_invariants(reduced_net, reduced);
-      EXPECT_LT(inv.littles_law_error, 1e-12);
-      EXPECT_LT(inv.flow_balance_error, 1e-12);
     }
+    for (std::size_t m = 0; m < full_net.num_stations(); ++m) {
+      expect_relative(reduced.utilization[m], full.utilization[m], 1e-12);
+    }
+    EXPECT_LT(fixed_point_residual(reduced_net, reduced), 1e-12);
+    const InvariantReport inv = check_invariants(reduced_net, reduced);
+    EXPECT_LT(inv.littles_law_error, 1e-12);
+    EXPECT_LT(inv.flow_balance_error, 1e-12);
   }
 }
 
@@ -235,7 +221,6 @@ TEST(StationOrbits, ClassZerosReductionAndTheIdentityBindUnitWeights) {
 TEST(StationOrbits, SolversThatIgnoreTheMapRejectIt) {
   const ClosedNetwork net = ring_network(3, true, 2);
   EXPECT_THROW((void)solve_linearizer(net, {}), InvalidArgument);
-  EXPECT_THROW((void)solve_linearizer(net, {}, SolveHints{}), InvalidArgument);
   EXPECT_THROW((void)solve_mva_exact(net), InvalidArgument);
   EXPECT_THROW((void)solve_convolution(net), InvalidArgument);
   EXPECT_THROW((void)bounds_solution(net), InvalidArgument);
